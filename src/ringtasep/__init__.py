@@ -9,10 +9,10 @@ Three independent routes to the same stationary probabilities:
 * `mlq` — multiline-queue weight sums at y = 0.
 
 Supporting machinery lives in `perms`, `poly` and `schubert`; the CLI in
-`cli`.
+`ringtasep.cli`, not imported here so that `python -m` runs it cleanly.
 """
 
-from . import chain, cli, formulas, mlq, perms, poly, schubert  # noqa: F401
+from . import chain, formulas, mlq, perms, poly, schubert  # noqa: F401
 
-__all__ = ["chain", "cli", "formulas", "mlq", "perms", "poly", "schubert"]
+__all__ = ["chain", "formulas", "mlq", "perms", "poly", "schubert"]
 __version__ = "0.1.0"

@@ -2,11 +2,15 @@
 stationary distributions.
 
 Two solve paths are provided.  `stationary` solves one chain instance at a
-rational parameter point by exact Gaussian elimination.  `symbolic_stationary`
-recovers the full stationary polynomials over Z[x, y]: the stationary vector
-is homogeneous of total degree C(n, 3) in x_1..x_{n-1}, y_1..y_{n-1}, so it
-is determined by exact solves at finitely many integer points followed by a
-fraction-free linear fit; the fit is then validated at fresh points.
+rational parameter point.  `symbolic_stationary` recovers the full
+stationary polynomials over Z[x, y]: the stationary vector is homogeneous of
+total degree C(n, 3) in x_1..x_{n-1}, y_1..y_{n-1}, so it is determined by
+exact solves at finitely many integer points followed by a linear fit; the
+fit is then certified by exact symbolic balance substitution.
+
+Both paths share one exact kernel: rows are scaled to integers, brought to
+row-echelon form by fraction-free (Bareiss) elimination over Python ints,
+and solved by integer back-substitution for any right-hand-side column.
 """
 
 from __future__ import annotations
@@ -46,9 +50,8 @@ class RateParams:
         return cls(xvals, (Fraction(0),) * len(xvals))
 
     def all_rates_positive(self) -> bool:
-        n = self.n
-        return all(self.xvals[i - 1] - self.yvals[n - j] > 0
-                   for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        return all(transition_rate(i, j, self.n, self) > 0
+                   for i, j in _weight_pairs(self.n))
 
 
 def transition_rate(i: int, j: int, n: int, params: RateParams) -> Fraction:
@@ -59,6 +62,11 @@ def transition_rate(i: int, j: int, n: int, params: RateParams) -> Fraction:
     if i < j:
         return params.xvals[i - 1] - params.yvals[n - j]
     return Fraction(0)
+
+
+def _weight_pairs(n: int):
+    """Every pair of weights i < j: the pairs with a nonzero rate."""
+    return itertools.combinations(range(1, n + 1), 2)
 
 
 def rate_polynomial(i: int, j: int, n: int) -> Poly:
@@ -87,10 +95,6 @@ class ChainInstance:
     states: list  # all n! permutations, lexicographic
     rates: dict   # (state, state) -> positive Fraction
 
-    def generator_row_sum(self, w: Perm) -> Fraction:
-        return sum((r for (u, _), r in self.rates.items() if u == w),
-                   Fraction(0))
-
 
 def build_chain(n: int, params: RateParams) -> ChainInstance:
     if params.n != n:
@@ -117,10 +121,17 @@ def stationary(chain: ChainInstance) -> list:
     for (u, v), r in chain.rates.items():
         A[idx[v]][idx[u]] += r
         A[idx[u]][idx[u]] -= r
-    null = _nullspace(A)
-    if len(null) != 1:
-        raise ValueError(f"chain is reducible: null space dimension {len(null)}")
-    vec = null[0]
+    A = [_integer_row(row) for row in A]
+    pivots = _echelon(A)
+    if len(pivots) != N - 1:
+        raise ValueError("chain is reducible: null space dimension "
+                         f"{N - len(pivots)}")
+    # the free column enters with coefficient -1, so the pivot entries solve
+    # the system whose right-hand side is that column
+    free = min(set(range(N)) - set(pivots))
+    vec = [Fraction(-1)] * N
+    for col, v in zip(pivots, _back_substitute(A, pivots, free)):
+        vec[col] = v
     total = sum(vec, Fraction(0))
     if total == 0:
         raise ValueError("degenerate null vector")
@@ -130,45 +141,60 @@ def stationary(chain: ChainInstance) -> list:
     return pi
 
 
-def _nullspace(A: list) -> list:
-    """Right null space basis of a square rational matrix, by exact
-    Gauss-Jordan elimination."""
-    N = len(A)
-    A = [row[:] for row in A]
-    pivots: dict[int, int] = {}  # column -> row
-    row = 0
-    for col in range(N):
-        piv = next((r for r in range(row, N) if A[r][col] != 0), None)
+def _integer_row(row: list) -> list:
+    """A rational row times the lcm of its denominators: an integer row
+    with the same solutions."""
+    scale = math.lcm(*(a.denominator for a in row))
+    return [a.numerator * (scale // a.denominator) for a in row]
+
+
+def _echelon(A: list) -> list:
+    """Bring the integer matrix A to row-echelon form in place by
+    fraction-free (Bareiss) elimination, skipping columns with no pivot, and
+    return the pivot columns.  Every entry stays an integer minor of the
+    input, so each division is exact."""
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(A[0])):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(A)) if A[r][col]), None)
         if piv is None:
             continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = A[row][col]
-        A[row] = [v / inv for v in A[row]]
-        for r in range(N):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[row])]
-        pivots[col] = row
-        row += 1
-    free = [c for c in range(N) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * N
-        vec[fc] = Fraction(1)
-        for col, r in pivots.items():
-            vec[col] = -A[r][fc]
-        basis.append(vec)
-    return basis
+        A[k], A[piv] = A[piv], A[k]
+        top = A[k][col:]
+        pc = top[0]
+        for r in range(k + 1, len(A)):
+            f = A[r][col]
+            if f:
+                A[r][col:] = [(a * pc - f * b) // prev
+                              for a, b in zip(A[r][col:], top)]
+            elif pc != prev:
+                A[r][col:] = [a * pc // prev for a in A[r][col:]]
+        pivots.append(col)
+        prev = pc
+    return pivots
+
+
+def _back_substitute(A: list, pivots: list, col: int) -> list:
+    """The rational x with sum_j A[r][pivots[j]] * x_j = A[r][col] for the
+    echelon form A, one entry per pivot column.  The last pivot d is the
+    determinant of the pivot block up to sign, so d * x is integral
+    (Cramer's rule) and every division below is exact."""
+    k = len(pivots)
+    d = A[k - 1][pivots[-1]] if pivots else 1
+    y = [0] * k
+    for r in range(k - 1, -1, -1):
+        row = A[r]
+        s = d * row[col] - sum(row[pivots[j]] * y[j] for j in range(r + 1, k))
+        y[r] = s // row[pivots[r]]
+    return [Fraction(v, d) for v in y]
 
 
 def normalization_polynomial(n: int) -> Poly:
     """The identity-state target: product of (x_i - y_{n+1-j})^(j-i-1)
     over i < j."""
-    out = Poly.const(n, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out * (Poly.x(n, i) - Poly.y(n, n + 1 - j)) ** (j - i - 1)
-    return out
+    return math.prod((rate_polynomial(i, j, n) ** (j - i - 1)
+                      for i, j in _weight_pairs(n)), start=Poly.const(n, 1))
 
 
 def renormalize(pi: list, n: int, params: RateParams) -> list:
@@ -176,14 +202,20 @@ def renormalize(pi: list, n: int, params: RateParams) -> list:
     product evaluated at params."""
     if any(p <= 0 for p in pi):
         raise ValueError("pi must be strictly positive")
-    target = normalization_polynomial(n).evaluate(params.xvals, params.yvals)
+    target = math.prod(transition_rate(i, j, n, params) ** (j - i - 1)
+                       for i, j in _weight_pairs(n))
     scale = target / pi[0]  # identity state is first in lexicographic order
     return [p * scale for p in pi]
 
 
 def solve_renormalized(n: int, params: RateParams) -> dict:
-    """Stationary solve plus renormalization, as a state -> value map."""
+    """Stationary solve plus renormalization, as a state -> value map.
+    Rejects a point where some rate is not strictly positive."""
     chain = build_chain(n, params)
+    for i, j in _weight_pairs(n):
+        if transition_rate(i, j, n, params) <= 0:
+            raise ValueError(f"transition rate x{i} - y{n + 1 - j} is not "
+                             "strictly positive")
     psi = renormalize(stationary(chain), n, params)
     return dict(zip(chain.states, psi))
 
@@ -215,47 +247,16 @@ def sample_integer_params(n: int, rng: random.Random, xlo: int = 50,
 
 def _fit_coefficients(monos: list, points: list, values: list) -> list:
     """Solve the square Vandermonde system V c = b_k for every right-hand
-    side simultaneously: fraction-free (Bareiss) forward elimination over
-    the integers, then rational back substitution.  Returns one coefficient
-    list per right-hand side."""
+    side simultaneously by eliminating [V | b] with the shared kernel.
+    Returns one coefficient list per right-hand side."""
     M = len(monos)
-    K = len(values[0])
-    A: list[list[int]] = []
-    for r in range(M):
-        vrow = [math.prod(v ** e for v, e in zip(points[r], mono))
-                for mono in monos]
-        scale = math.lcm(*[values[r][k].denominator for k in range(K)])
-        A.append([v * scale for v in vrow]
-                 + [int(values[r][k] * scale) for k in range(K)])
-    W = M + K
-    prev = 1
-    for col in range(M):
-        piv = next((r for r in range(col, M) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular interpolation system")
-        A[col], A[piv] = A[piv], A[col]
-        pc = A[col][col]
-        for r in range(col + 1, M):
-            Ar, Ac, f = A[r], A[col], A[r][col]
-            if f:
-                for c2 in range(col, W):
-                    Ar[c2] = (Ar[c2] * pc - f * Ac[c2]) // prev
-            elif prev != 1 or pc != 1:
-                for c2 in range(col, W):
-                    Ar[c2] = Ar[c2] * pc // prev
-        prev = pc
-    out = []
-    for k in range(K):
-        c = [Fraction(0)] * M
-        for r in range(M - 1, -1, -1):
-            s = Fraction(A[r][M + k])
-            row = A[r]
-            for j in range(r + 1, M):
-                if row[j]:
-                    s -= row[j] * c[j]
-            c[r] = s / row[r]
-        out.append(c)
-    return out
+    A = [_integer_row([math.prod(v ** e for v, e in zip(pt, mono))
+                       for mono in monos] + vals)
+         for pt, vals in zip(points, values)]
+    pivots = _echelon(A)
+    if pivots != list(range(M)):
+        raise ValueError("singular interpolation system")
+    return [_back_substitute(A, pivots, M + k) for k in range(len(values[0]))]
 
 
 def symbolic_stationary(n: int, max_n: int = 4) -> dict:
@@ -304,15 +305,13 @@ def symbolic_stationary(n: int, max_n: int = 4) -> dict:
                 terms[xe + ye] = int(c)
         out[s] = Poly(n, terms)
 
-    # validate the fit at fresh points before trusting it
-    for _ in range(3):
-        params = sample_integer_params(n, rng)
-        psi = solve_renormalized(n, params)
-        for s in states:
-            got = out[s].evaluate(params.xvals, params.yvals)
-            if got != psi[s]:
-                raise AssertionError("interpolated stationary polynomial "
-                                     f"disagrees with solver at {params}")
+    # certify the fit: the balance null space over Q(x, y) is one-dimensional,
+    # so a balanced vector with the identity entry fixed is the stationary one
+    residuals = global_balance_residuals(out, n)
+    if (any(not r.is_zero() for r in residuals.values())
+            or out[states[0]] != normalization_polynomial(n)):
+        raise AssertionError("interpolated stationary polynomials fail the "
+                             "exact balance certificate")
     _symbolic_cache[n] = out
     return out
 

@@ -12,6 +12,17 @@ def params_n3():
     return RateParams.y_zero([2, 1, 1])
 
 
+def assert_balanced(c, pi):
+    """Exact substitution into every balance equation of chain c."""
+    psi = dict(zip(c.states, pi))
+    for v in c.states:
+        inflow = sum((psi[u] * r for (u, t), r in c.rates.items()
+                      if t == v), Fraction(0))
+        outflow = psi[v] * sum((r for (u, _), r in c.rates.items()
+                                if u == v), Fraction(0))
+        assert inflow == outflow
+
+
 class TestRates:
     def test_known_edges(self):
         p = RateParams([Fraction(2), Fraction(3), Fraction(5)],
@@ -88,13 +99,15 @@ class TestStationary:
         p = RateParams([Fraction(5), Fraction(3), Fraction(2), Fraction(2)],
                        [Fraction(0), Fraction(1), Fraction(1), Fraction(0)])
         c = chain.build_chain(4, p)
-        psi = dict(zip(c.states, chain.stationary(c)))
-        for v in c.states:
-            inflow = sum((psi[u] * r for (u, t), r in c.rates.items()
-                          if t == v), Fraction(0))
-            outflow = psi[v] * sum((r for (u, _), r in c.rates.items()
-                                    if u == v), Fraction(0))
-            assert inflow == outflow
+        assert_balanced(c, chain.stationary(c))
+
+    def test_n5_rational_point_certified(self):
+        # y = 0 with x denominators up to 10^6, as identity_check draws them
+        xv = chain.sample_rational_params(5, random.Random(7)).xvals
+        c = chain.build_chain(5, RateParams.y_zero(xv))
+        pi = chain.stationary(c)
+        assert sum(pi) == 1
+        assert_balanced(c, pi)
 
     def test_reducible_rejected(self):
         # a zero rate disconnects the two-state chain
@@ -102,6 +115,30 @@ class TestStationary:
         c = chain.build_chain(2, p)
         with pytest.raises(ValueError):
             chain.stationary(c)
+
+    def test_nonpositive_rate_named(self):
+        # x1 - y2 = 2 and x1 - y1 = 1, but x2 - y1 = 0
+        p = RateParams([2, 1, 1], [1, 0, 0])
+        with pytest.raises(ValueError, match="x2 - y1"):
+            chain.solve_renormalized(3, p)
+
+
+class TestKernel:
+    def test_echelon_skips_empty_column(self):
+        A = [[0, 2, 4], [0, 1, 3]]
+        assert chain._echelon(A) == [1, 2]
+
+    def test_fit_rational_values(self):
+        # c1 + 2 c2 = 1/2, 3 c1 + 5 c2 = 1/3
+        coeffs = chain._fit_coefficients(
+            [(1, 0), (0, 1)], [(1, 2), (3, 5)],
+            [[Fraction(1, 2)], [Fraction(1, 3)]])
+        assert coeffs == [[Fraction(-11, 6), Fraction(7, 6)]]
+
+    def test_singular_fit_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            chain._fit_coefficients([(1, 0), (0, 1)], [(1, 1), (2, 2)],
+                                    [[Fraction(1)], [Fraction(2)]])
 
 
 class TestSymbolic:
@@ -119,6 +156,18 @@ class TestSymbolic:
     def test_cap(self):
         with pytest.raises(ValueError):
             chain.symbolic_stationary(5)
+
+    def test_certificate_rejects_wrong_fit(self, monkeypatch):
+        fit = chain._fit_coefficients
+
+        def off_by_one(monos, points, values):
+            coeffs = fit(monos, points, values)
+            coeffs[1][0] += 1
+            return coeffs
+        monkeypatch.setattr(chain, "_symbolic_cache", {})
+        monkeypatch.setattr(chain, "_fit_coefficients", off_by_one)
+        with pytest.raises(AssertionError, match="balance certificate"):
+            chain.symbolic_stationary(3)
 
     def test_global_balance_symbolic(self, symbolic_n3):
         res = chain.global_balance_residuals(symbolic_n3, 3)

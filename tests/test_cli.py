@@ -1,8 +1,13 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ringtasep import cli
+from ringtasep import chain, cli
 
 
 def run(capsys, *argv):
@@ -144,6 +149,36 @@ class TestVerify:
         assert code == 0
         assert "all passed" in out
 
+    def test_mlq_suite_solves_each_point_once(self, capsys, monkeypatch):
+        solve = chain.solve_renormalized
+        points = []
+
+        def counted(n, params):
+            points.append(params)
+            return solve(n, params)
+        monkeypatch.setattr(chain, "solve_renormalized", counted)
+        code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "mlq")
+        assert code == 0
+        assert "6 cases, all passed" in out
+        assert len(points) == 3  # one per seeded point, not per state
+
+    def test_per_case_timings(self, capsys, monkeypatch):
+        # the clock reads 100, 100.25, 101, 102.25, 104: gaps 0.25 apart
+        ticks = (100 + k * k / 4 for k in itertools.count())
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks))
+        code, out, _ = run(capsys, "--json", "--timings", "verify",
+                           "--n", "2", "--suite", "counts")
+        assert code == 0
+        cases = json.loads(out)["cases"]
+        assert [c["seconds"] for c in cases] == [0.25, 0.75, 1.25, 1.75]
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--n", n, "--suite", "counts")
+        assert code == 2
+        assert out == ""
+        assert "--n must be at least 1" in err
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, capsys):
@@ -169,3 +204,15 @@ class TestUsageErrors:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "3", "--suite", "nope")
         assert code == 2
+
+
+def test_module_entry_point_runs_cleanly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringtasep.cli", "count", "--max-n", "3"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == "1 2 6\n"
+    assert proc.stderr == ""
