@@ -8,6 +8,14 @@ total degree C(n, 3) in x_1..x_{n-1}, y_1..y_{n-1}, so it is determined by
 exact solves at finitely many integer points followed by a linear fit; the
 fit is then certified by exact symbolic balance substitution.
 
+The rates depend only on particle labels, so the generator commutes with
+rotating the ring and the stationary vector is rotation invariant.  Both
+paths therefore work on the (n-1)! rotation classes, represented by the
+states with w_1 = 1: `stationary` solves the lumped balance system there,
+expands the answer to all n! states and certifies it by exact substitution
+into every balance equation of the full chain; the fit interpolates the
+representatives only.
+
 Both paths share one exact kernel: rows are scaled to integers, brought to
 row-echelon form by fraction-free (Bareiss) elimination over Python ints,
 and solved by integer back-substitution for any right-hand-side column.
@@ -109,43 +117,77 @@ def build_chain(n: int, params: RateParams) -> ChainInstance:
     return ChainInstance(n, params, states, rates)
 
 
+def _rotate_to_one(w: Perm) -> Perm:
+    """The rotation of the ring state w that starts with 1: the
+    representative of w's rotation class."""
+    k = w.index(1)
+    return w[k:] + w[:k]
+
+
 def stationary(chain: ChainInstance) -> list:
     """The unique positive left null vector of the generator, normalized to
-    sum 1.  Rejects chains whose null space dimension is not one."""
-    states = chain.states
-    N = len(states)
-    idx = {s: i for i, s in enumerate(states)}
-    # columns of A are states; row v of A holds the balance equation at v:
-    # sum_u pi_u rate(u->v) - pi_v * outflow(v) = 0
-    A = [[Fraction(0)] * N for _ in range(N)]
-    for (u, v), r in chain.rates.items():
-        A[idx[v]][idx[u]] += r
-        A[idx[u]][idx[u]] -= r
+    sum 1, solved on the rotation classes and certified on all states.
+
+    Every rate must be strictly positive; the chain is then irreducible and
+    its stationary vector is rotation invariant, so it is the lumped balance
+    system's null vector expanded from the representatives w_1 = 1."""
+    n, states = chain.n, chain.states
+    # one common scale turns every rate into an integer
+    rates = dict(zip(chain.rates, _integer_row(list(chain.rates.values()))))
+    for (u, v), r in rates.items():
+        if r <= 0:
+            i, j = sorted(a for a, b in zip(u, v) if a != b)
+            raise ValueError(f"transition rate x{i} - y{n + 1 - j} is not "
+                             "strictly positive")
+    reps = [s for s in states if s[0] == 1]
+    m = len(reps)
+    idx = {s: k for k, s in enumerate(reps)}
+    # columns are representatives; row v holds the balance equation at v:
+    # sum_{u->v} rate(u->v) * pi[rot(u)] - pi_v * outflow(v) = 0
+    A = [[0] * m for _ in range(m)]
+    for (u, v), r in rates.items():
+        if v[0] == 1:
+            A[idx[v]][idx[_rotate_to_one(u)]] += r
+        if u[0] == 1:
+            A[idx[u]][idx[u]] -= r
     A = [_integer_row(row) for row in A]
     pivots = _echelon(A)
-    if len(pivots) != N - 1:
-        raise ValueError("chain is reducible: null space dimension "
-                         f"{N - len(pivots)}")
+    if len(pivots) != m - 1:
+        raise ValueError("chain is reducible or not rotation invariant: "
+                         f"lumped null space dimension {m - len(pivots)}")
     # the free column enters with coefficient -1, so the pivot entries solve
     # the system whose right-hand side is that column
-    free = min(set(range(N)) - set(pivots))
-    vec = [Fraction(-1)] * N
+    free = min(set(range(m)) - set(pivots))
+    vec = [Fraction(-1)] * m
     for col, v in zip(pivots, _back_substitute(A, pivots, free)):
         vec[col] = v
-    total = sum(vec, Fraction(0))
+    vec = _integer_row(vec)
+    full = {s: vec[idx[_rotate_to_one(s)]] for s in states}
+    total = sum(full.values())
     if total == 0:
         raise ValueError("degenerate null vector")
-    pi = [v / total for v in vec]
-    if any(p <= 0 for p in pi):
+    if any(v * total <= 0 for v in vec):
         raise ValueError("stationary vector is not strictly positive")
-    return pi
+    # certificate: the expanded vector satisfies every balance equation of
+    # the full chain, exactly
+    residual = dict.fromkeys(states, 0)
+    for (u, v), r in rates.items():
+        residual[v] += full[u] * r
+        residual[u] -= full[u] * r
+    if any(residual.values()):
+        raise ValueError("stationary vector fails the balance certificate")
+    return [Fraction(full[s], total) for s in states]
 
 
 def _integer_row(row: list) -> list:
-    """A rational row times the lcm of its denominators: an integer row
-    with the same solutions."""
+    """The primitive integer row on the ray of a rational row: the row times
+    the lcm of its denominators, divided by the gcd of the result.  It has
+    the same solutions, and as a vector it differs by a positive scale;
+    keeping rows primitive keeps the elimination's minors short."""
     scale = math.lcm(*(a.denominator for a in row))
-    return [a.numerator * (scale // a.denominator) for a in row]
+    ints = [a.numerator * (scale // a.denominator) for a in row]
+    g = math.gcd(*ints) or 1
+    return [a // g for a in ints]
 
 
 def _echelon(A: list) -> list:
@@ -210,12 +252,8 @@ def renormalize(pi: list, n: int, params: RateParams) -> list:
 
 def solve_renormalized(n: int, params: RateParams) -> dict:
     """Stationary solve plus renormalization, as a state -> value map.
-    Rejects a point where some rate is not strictly positive."""
+    `stationary` rejects a point where some rate is not strictly positive."""
     chain = build_chain(n, params)
-    for i, j in _weight_pairs(n):
-        if transition_rate(i, j, n, params) <= 0:
-            raise ValueError(f"transition rate x{i} - y{n + 1 - j} is not "
-                             "strictly positive")
     psi = renormalize(stationary(chain), n, params)
     return dict(zip(chain.states, psi))
 
@@ -278,6 +316,8 @@ def symbolic_stationary(n: int, max_n: int = 4) -> dict:
     active = n - 1  # only x_1..x_{n-1}, y_1..y_{n-1} appear in the rates
     monos = list(_homogeneous_exponents(2 * active, degree))
     states = list(perms.iter_perms(n))
+    # psi is rotation invariant: fit the representatives w_1 = 1 only
+    reps = [s for s in states if s[0] == 1]
     rng = random.Random(20240 + n)
 
     points, values = [], []
@@ -290,11 +330,11 @@ def symbolic_stationary(n: int, max_n: int = 4) -> dict:
         seen.add(pt)
         psi = solve_renormalized(n, params)
         points.append(pt)
-        values.append([psi[s] for s in states])
+        values.append([psi[s] for s in reps])
 
     coeffs = _fit_coefficients(monos, points, values)
-    out = {}
-    for s, cs in zip(states, coeffs):
+    fitted = {}
+    for s, cs in zip(reps, coeffs):
         terms = {}
         for mono, c in zip(monos, cs):
             if c:
@@ -303,7 +343,8 @@ def symbolic_stationary(n: int, max_n: int = 4) -> dict:
                 xe = mono[:active] + (0,) * (n - active)
                 ye = mono[active:] + (0,) * (n - active)
                 terms[xe + ye] = int(c)
-        out[s] = Poly(n, terms)
+        fitted[s] = Poly(n, terms)
+    out = {s: fitted[_rotate_to_one(s)] for s in states}
 
     # certify the fit: the balance null space over Q(x, y) is one-dimensional,
     # so a balanced vector with the identity entry fixed is the stationary one
@@ -354,6 +395,14 @@ def identity_check(lhs, rhs, n: int, trials: int = 5,
     returning a Fraction.  Two polynomials are compared canonically;
     otherwise both sides are evaluated at `trials` random rational points
     with all rates positive.
+
+    Failure bound: each coordinate from `sample_rational_params` takes any
+    one value with probability at most
+    eps = (H_{10^6} - 1) / (10^6 - 1) < 1.34e-5, H_k the k-th harmonic
+    number.  By the generalized Schwartz-Zippel lemma a nonzero difference
+    of degree at most C(n, 3) vanishes at one point with probability at
+    most C(n, 3) * eps, so a wrong identity survives all `trials` points
+    with probability at most (C(n, 3) * eps)^trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

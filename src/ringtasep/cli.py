@@ -262,6 +262,8 @@ def _suite_main(report: RunReport, n: int, seed: int) -> None:
         for w in states:
             lhs = formulas.main_formula(w)
             rhs = lambda xv, yv: solve(RateParams(xv, yv))[w]
+            # a wrong formula survives with probability at most
+            # (C(n, 3) * eps)^5, 4.3e-20 at n = 5 (see identity_check)
             ok = chain.identity_check(lhs, rhs, n, trials=5, seed=seed)
             report.record(f"product formula {perms.perm_str(w)} (5 points)",
                           ok, "equal at all points", "ok" if ok else "mismatch")
@@ -287,6 +289,8 @@ def _suite_mlq(report: RunReport, n: int, seed: int) -> None:
     for w in sorted(queue_psis):
         lhs = queue_psis[w]
         rhs = lambda xv, yv: solve(RateParams.y_zero(xv))[w]
+        # a wrong queue sum survives with probability at most
+        # (C(n, 3) * eps)^3, 1.9e-11 at n = 6 (see identity_check)
         ok = chain.identity_check(lhs, rhs, n, trials=3, seed=seed)
         report.record(f"queue sum vs solver {perms.perm_str(w)}", ok,
                       "equal at all points", "ok" if ok else "mismatch")
@@ -378,6 +382,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # an internal invariant or certificate failed: a bug, not bad input
+        print("internal check failed:", *str(exc).splitlines(),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,26 @@ def assert_balanced(c, pi):
         assert inflow == outflow
 
 
+def full_stationary(c):
+    """Reference solve: the null vector of all n! balance equations, by the
+    same kernel, normalized to sum 1."""
+    N = len(c.states)
+    idx = {s: i for i, s in enumerate(c.states)}
+    A = [[Fraction(0)] * N for _ in range(N)]
+    for (u, v), r in c.rates.items():
+        A[idx[v]][idx[u]] += r
+        A[idx[u]][idx[u]] -= r
+    A = [chain._integer_row(row) for row in A]
+    pivots = chain._echelon(A)
+    assert len(pivots) == N - 1
+    free = min(set(range(N)) - set(pivots))
+    vec = [Fraction(-1)] * N
+    for col, v in zip(pivots, chain._back_substitute(A, pivots, free)):
+        vec[col] = v
+    total = sum(vec)
+    return [v / total for v in vec]
+
+
 class TestRates:
     def test_known_edges(self):
         p = RateParams([Fraction(2), Fraction(3), Fraction(5)],
@@ -121,6 +141,31 @@ class TestStationary:
         p = RateParams([2, 1, 1], [1, 0, 0])
         with pytest.raises(ValueError, match="x2 - y1"):
             chain.solve_renormalized(3, p)
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_full_solve(self, n):
+        p = chain.sample_integer_params(n, random.Random(n))
+        c = chain.build_chain(n, p)
+        assert chain.stationary(c) == full_stationary(c)
+
+    def test_n6_integer_point(self):
+        c = chain.build_chain(6, chain.sample_integer_params(
+            6, random.Random(6)))
+        pi = chain.stationary(c)
+        assert sum(pi) == 1
+        assert_balanced(c, pi)
+
+    def test_rotation_breaking_rate_rejected(self):
+        # an edge between two non-representatives leaves the lumped system
+        # unchanged, so only the full balance certificate can catch it
+        c = chain.build_chain(4, chain.sample_integer_params(
+            4, random.Random(4)))
+        edge = next((u, v) for u, v in c.rates if u[0] != 1 and v[0] != 1)
+        c.rates[edge] += 1
+        with pytest.raises(ValueError, match="balance certificate"):
+            chain.stationary(c)
 
 
 class TestKernel:

@@ -162,6 +162,28 @@ class TestVerify:
         assert "6 cases, all passed" in out
         assert len(points) == 3  # one per seeded point, not per state
 
+    def test_mlq_suite_n5(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "5", "--suite", "mlq")
+        assert code == 0
+        assert "mlq: 120 cases, all passed" in out
+
+    def test_internal_check_failure_is_exit_1(self, capsys, monkeypatch):
+        fit = chain._fit_coefficients
+
+        def off_by_one(monos, points, values):
+            coeffs = fit(monos, points, values)
+            coeffs[1][0] += 1
+            return coeffs
+        monkeypatch.setattr(chain, "_symbolic_cache", {})
+        monkeypatch.setattr(chain, "_fit_coefficients", off_by_one)
+        code, out, err = run(capsys, "verify", "--n", "3", "--suite", "main")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal check failed: ")
+        assert "balance certificate" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_per_case_timings(self, capsys, monkeypatch):
         # the clock reads 100, 100.25, 101, 102.25, 104: gaps 0.25 apart
         ticks = (100 + k * k / 4 for k in itertools.count())
