@@ -34,6 +34,7 @@ from .perms import Perm
 from .poly import Poly
 
 _symbolic_cache: dict[int, dict[Perm, Poly]] = {}
+_SYMBOLIC_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,22 @@ def stationary(chain: ChainInstance) -> list:
         raise ValueError("stationary vector is not strictly positive")
     # certificate: the expanded vector satisfies every balance equation of
     # the full chain, exactly
-    residual = dict.fromkeys(states, 0)
-    for (u, v), r in rates.items():
-        residual[v] += full[u] * r
-        residual[u] -= full[u] * r
-    if any(residual.values()):
+    if any(_residuals(full, rates).values()):
         raise ValueError("stationary vector fails the balance certificate")
     return [Fraction(full[s], total) for s in states]
+
+
+def _residuals(psi: dict, rates: dict) -> dict:
+    """Inflow minus outflow at every state of the vector psi, in one pass
+    over the edges (u, v) -> rate.  Entries and rates are ints or Polys
+    alike."""
+    first = next(iter(psi.values()))
+    res = dict.fromkeys(psi, first - first)  # the zero of psi's ring
+    for (u, v), r in rates.items():
+        flow = psi[u] * r
+        res[v] = res[v] + flow
+        res[u] = res[u] - flow
+    return res
 
 
 def _integer_row(row: list) -> list:
@@ -297,17 +307,17 @@ def _fit_coefficients(monos: list, points: list, values: list) -> list:
     return [_back_substitute(A, pivots, M + k) for k in range(len(values[0]))]
 
 
-def symbolic_stationary(n: int, max_n: int = 4) -> dict:
+def symbolic_stationary(n: int) -> dict:
     """Renormalized stationary probabilities as exact polynomials in
     Z[x_1..x_n, y_1..y_n], for every state.
 
-    Feasibility-bounded: the default cap is n = 4 (raise max_n to 5 at your
-    own patience).  Results are cached per n.
+    Feasibility-bounded: capped at n = 4; an n = 5 fit would need 19,448
+    monomials per state.  Results are cached per n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > max_n:
-        raise ValueError(f"symbolic solve capped at n={max_n}")
+    if n > _SYMBOLIC_MAX_N:
+        raise ValueError(f"symbolic solve capped at n={_SYMBOLIC_MAX_N}")
     cached = _symbolic_cache.get(n)
     if cached is not None:
         return cached
@@ -360,19 +370,9 @@ def symbolic_stationary(n: int, max_n: int = 4) -> dict:
 def global_balance_residuals(psis: dict, n: int) -> dict:
     """Symbolic balance check: for each state v, inflow minus outflow of
     the polynomial stationary vector.  All residuals must be zero."""
-    residuals = {}
-    for v in psis:
-        res = Poly.zero(n)
-        for p, t in swap_moves(v):
-            q = (p + 1) % n
-            res = res - psis[v] * rate_polynomial(v[p], v[q], n)
-        for u in psis:
-            for p, t in swap_moves(u):
-                if t == v:
-                    q = (p + 1) % n
-                    res = res + psis[u] * rate_polynomial(u[p], u[q], n)
-        residuals[v] = res
-    return residuals
+    rates = {(u, t): rate_polynomial(u[p], u[(p + 1) % n], n)
+             for u in psis for p, t in swap_moves(u)}
+    return _residuals(psis, rates)
 
 
 # -- randomized identity testing -------------------------------------------
@@ -387,14 +387,10 @@ def sample_rational_params(n: int, rng: random.Random) -> RateParams:
                       [frac(0) for _ in range(n)])
 
 
-def identity_check(lhs, rhs, n: int, trials: int = 5,
-                   seed: int | None = 0) -> bool:
-    """Compare two computational routes for a polynomial quantity.
-
-    Each side is either a Poly or a callable taking (xvals, yvals) and
-    returning a Fraction.  Two polynomials are compared canonically;
-    otherwise both sides are evaluated at `trials` random rational points
-    with all rates positive.
+def sample_points(n: int, trials: int,
+                  seed: int | None) -> list[RateParams]:
+    """`trials` random rational points with all rates positive, drawn in turn
+    by `sample_rational_params` from one generator seeded with `seed`.
 
     Failure bound: each coordinate from `sample_rational_params` takes any
     one value with probability at most
@@ -406,24 +402,16 @@ def identity_check(lhs, rhs, n: int, trials: int = 5,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if isinstance(lhs, Poly) and isinstance(rhs, Poly):
-        m = max(lhs.n, rhs.n)
-        return lhs.embed(m) == rhs.embed(m)
     rng = random.Random(seed)
-    for _ in range(trials):
-        params = sample_rational_params(n, rng)
-        a = _eval_route(lhs, params)
-        b = _eval_route(rhs, params)
-        if a != b:
-            return False
-    return True
+    return [sample_rational_params(n, rng) for _ in range(trials)]
 
 
-def _eval_route(side, params: RateParams) -> Fraction:
-    if isinstance(side, Poly):
-        pad = side.n - params.n
-        if pad < 0:
-            raise ValueError("polynomial has fewer variables than params")
-        return side.evaluate(params.xvals + (Fraction(0),) * pad,
-                             params.yvals + (Fraction(0),) * pad)
-    return side(params.xvals, params.yvals)
+def compare_with_solver(route, states, points):
+    """Yield (w, ok) state by state, ok telling whether the polynomial
+    route(w) equals the renormalized chain solution psi_w at every point.
+    Each point is solved once, when the first state is asked for."""
+    solved = [(p, solve_renormalized(p.n, p)) for p in points]
+    for w in states:
+        value = route(w)
+        yield w, all(value.evaluate(p.xvals, p.yvals) == psi[w]
+                     for p, psi in solved)

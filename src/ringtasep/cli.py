@@ -9,7 +9,6 @@ seed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -257,14 +256,11 @@ def _suite_main(report: RunReport, n: int, seed: int) -> None:
             report.record(f"product formula {perms.perm_str(w)} (symbolic)",
                           got == psis[w], psis[w].to_text(), got.to_text())
     else:
-        # every state is compared at the same seeded points: solve each once
-        solve = functools.cache(lambda p: chain.solve_renormalized(n, p))
-        for w in states:
-            lhs = formulas.main_formula(w)
-            rhs = lambda xv, yv: solve(RateParams(xv, yv))[w]
-            # a wrong formula survives with probability at most
-            # (C(n, 3) * eps)^5, 4.3e-20 at n = 5 (see identity_check)
-            ok = chain.identity_check(lhs, rhs, n, trials=5, seed=seed)
+        # a wrong formula survives with probability at most
+        # (C(n, 3) * eps)^5, 4.3e-20 at n = 5 (see chain.sample_points)
+        points = chain.sample_points(n, trials=5, seed=seed)
+        for w, ok in chain.compare_with_solver(formulas.main_formula, states,
+                                               points):
             report.record(f"product formula {perms.perm_str(w)} (5 points)",
                           ok, "equal at all points", "ok" if ok else "mismatch")
 
@@ -285,13 +281,13 @@ def _suite_eta(report: RunReport, n: int, seed: int) -> None:
 
 def _suite_mlq(report: RunReport, n: int, seed: int) -> None:
     queue_psis = mlq.all_psi_via_mlq(n)
-    solve = functools.cache(lambda p: chain.solve_renormalized(n, p))
-    for w in sorted(queue_psis):
-        lhs = queue_psis[w]
-        rhs = lambda xv, yv: solve(RateParams.y_zero(xv))[w]
-        # a wrong queue sum survives with probability at most
-        # (C(n, 3) * eps)^3, 1.9e-11 at n = 6 (see identity_check)
-        ok = chain.identity_check(lhs, rhs, n, trials=3, seed=seed)
+    # the queue sums have no y: compare at the sampled x with y = 0; a wrong
+    # queue sum survives with probability at most (C(n, 3) * eps)^3,
+    # 1.9e-11 at n = 6 (see chain.sample_points)
+    points = [RateParams.y_zero(p.xvals)
+              for p in chain.sample_points(n, trials=3, seed=seed)]
+    for w, ok in chain.compare_with_solver(queue_psis.__getitem__,
+                                           sorted(queue_psis), points):
         report.record(f"queue sum vs solver {perms.perm_str(w)}", ok,
                       "equal at all points", "ok" if ok else "mismatch")
 
@@ -356,9 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mlq", help="queue sums for a state")
     p.add_argument("--state", required=True)
     p.add_argument("--n", type=int)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--list", action="store_true")
-    group.add_argument("--sum", action="store_true")
+    p.add_argument("--list", action="store_true")
     p.set_defaults(func=cmd_mlq)
 
     p = sub.add_parser("schubert", help="expand a Schubert polynomial")

@@ -192,7 +192,3 @@ def eta(w: Perm) -> tuple:
         exps.append(tail)
         tail -= counts[i]
     return tuple(exps) + (0,) * 2
-
-
-def eta_poly(w: Perm) -> Poly:
-    return Poly.monomial(len(w), eta(w))

@@ -146,12 +146,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Max total degree over terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self) -> int | None:
         """Shared total degree of all terms, or None if inhomogeneous."""
         if not self.terms:
@@ -167,10 +161,6 @@ class Poly:
         xe += (0,) * (self.n - len(xe))
         ye += (0,) * (self.n - len(ye))
         return self.terms.get(xe + ye, 0)
-
-    def uses_y(self) -> bool:
-        n = self.n
-        return any(any(e[n:]) for e in self.terms)
 
     # -- substitutions and operators ---------------------------------------
 

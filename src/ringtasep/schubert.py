@@ -9,16 +9,12 @@ Results are memoized per (n, w) since verification sweeps revisit labels.
 
 from __future__ import annotations
 
-import itertools
-import threading
-
 from . import perms
 from .perms import Perm
 from .poly import Poly
 
 _double_cache: dict[tuple[int, Perm], Poly] = {}
 _single_cache: dict[tuple[int, Perm], Poly] = {}
-_cache_lock = threading.Lock()
 
 
 def delta(n: int) -> Poly:
@@ -66,14 +62,12 @@ def double_schubert(w: Perm) -> Poly:
     w = perms.check_perm(w)
     n = len(w)
     key = (n, w)
-    with _cache_lock:
-        cached = _double_cache.get(key)
+    cached = _double_cache.get(key)
     if cached is not None:
         return cached
     u = perms.compose(perms.inverse(w), perms.longest_element(n))
     out = apply_divided_differences(delta(n), u)
-    with _cache_lock:
-        _double_cache[key] = out
+    _double_cache[key] = out
     return out
 
 
@@ -83,14 +77,12 @@ def single_schubert(w: Perm) -> Poly:
     w = perms.check_perm(w)
     n = len(w)
     key = (n, w)
-    with _cache_lock:
-        cached = _single_cache.get(key)
+    cached = _single_cache.get(key)
     if cached is not None:
         return cached
     u = perms.compose(perms.inverse(w), perms.longest_element(n))
     out = apply_divided_differences(staircase_monomial(n), u)
-    with _cache_lock:
-        _single_cache[key] = out
+    _single_cache[key] = out
     return out
 
 
@@ -195,6 +187,5 @@ def partitions_in_box(rows: int, cols: int):
 
 
 def clear_caches() -> None:
-    with _cache_lock:
-        _double_cache.clear()
-        _single_cache.clear()
+    _double_cache.clear()
+    _single_cache.clear()

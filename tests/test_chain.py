@@ -122,7 +122,7 @@ class TestStationary:
         assert_balanced(c, chain.stationary(c))
 
     def test_n5_rational_point_certified(self):
-        # y = 0 with x denominators up to 10^6, as identity_check draws them
+        # y = 0 with x denominators up to 10^6, as sample_points draws them
         xv = chain.sample_rational_params(5, random.Random(7)).xvals
         c = chain.build_chain(5, RateParams.y_zero(xv))
         pi = chain.stationary(c)
@@ -234,19 +234,23 @@ class TestSymbolic:
 
 
 class TestIdentityCheck:
-    def test_identical_polynomials(self):
-        p = Poly.x(3, 1) + Poly.x(3, 2)
-        assert chain.identity_check(p, p, 3)
+    def test_comparer_agrees_with_symbolic(self, symbolic_n3):
+        states = sorted(symbolic_n3)
+        points = chain.sample_points(3, trials=3, seed=0)
+        got = list(chain.compare_with_solver(symbolic_n3.__getitem__, states,
+                                             points))
+        assert got == [(w, True) for w in states]
 
-    def test_distinguishes(self):
-        p = Poly.x(3, 1) + Poly.x(3, 2)
-        q = Poly.x(3, 1) - Poly.x(3, 2)
-        assert not chain.identity_check(p, q, 3)
+    def test_comparer_flags_only_perturbed_state(self, symbolic_n3):
+        bad = (1, 3, 2)
 
-    def test_callable_route(self):
-        p = Poly.x(2, 1) * Poly.y(2, 2)
-        route = lambda xv, yv: xv[0] * yv[1]
-        assert chain.identity_check(p, route, 2, trials=4, seed=3)
+        def route(w):
+            return symbolic_n3[w] + (Poly.x(3, 1) if w == bad
+                                     else Poly.zero(3))
+        points = chain.sample_points(3, trials=2, seed=0)
+        got = dict(chain.compare_with_solver(route, sorted(symbolic_n3),
+                                             points))
+        assert got == {w: w != bad for w in symbolic_n3}
 
     def test_seed_reproducible(self):
         rng1 = random.Random(11)

@@ -101,7 +101,7 @@ class TestFormula:
 
 class TestMlq:
     def test_sum_n3(self, capsys):
-        code, out, _ = run(capsys, "mlq", "--state", "1,3,2", "--sum")
+        code, out, _ = run(capsys, "mlq", "--state", "1,3,2")
         assert code == 0
         assert out.strip() == "x1 + x2"
 

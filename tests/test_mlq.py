@@ -103,10 +103,12 @@ class TestQueueSum:
         assert total == queue_total
 
     def test_n5_matches_solver_at_points(self, mlq_n5):
-        for w in [(1, 2, 3, 4, 5), (1, 5, 4, 3, 2), (2, 4, 1, 5, 3)]:
-            rhs = lambda xv, yv: chain.solve_renormalized(
-                5, RateParams.y_zero(xv))[w]
-            assert chain.identity_check(mlq_n5[w], rhs, 5, trials=2, seed=1)
+        states = [(1, 2, 3, 4, 5), (1, 5, 4, 3, 2), (2, 4, 1, 5, 3)]
+        points = [RateParams.y_zero(p.xvals)
+                  for p in chain.sample_points(5, trials=2, seed=1)]
+        for w, ok in chain.compare_with_solver(mlq_n5.__getitem__, states,
+                                               points):
+            assert ok, w
 
 
 class TestLatticePath:
