@@ -107,18 +107,18 @@ def contains_pattern(w: Perm, p: Perm) -> bool:
     return extend([], 0)
 
 
+def _spells_evil(w: Perm, subsets) -> bool:
+    """True iff some 4-subset of positions of w spells an evil pattern."""
+    for idx in subsets:
+        vals = [w[i] for i in idx]
+        if tuple(sorted(vals).index(v) + 1 for v in vals) in EVIL_PATTERNS:
+            return True
+    return False
+
+
 def is_evil_avoiding(w: Perm) -> bool:
     """True iff w avoids 2413, 3214, 4132 and 4213."""
-    n = len(w)
-    if n < 4:
-        return True
-    evil = set(EVIL_PATTERNS)
-    for idx in itertools.combinations(range(n), 4):
-        vals = [w[i] for i in idx]
-        ranks = tuple(sorted(vals).index(v) + 1 for v in vals)
-        if ranks in evil:
-            return False
-    return True
+    return not _spells_evil(w, itertools.combinations(range(len(w)), 4))
 
 
 def inv_descent_count(w: Perm) -> int:
@@ -156,11 +156,26 @@ def iter_perms(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
+def evil_avoiders(n: int) -> list[Perm]:
+    """Every evil-avoiding permutation of S_n, by filtering insertions:
+    deleting a letter from an avoider leaves an avoider, so the avoiders of
+    S_m are those of S_{m-1} with m inserted at a position p through which
+    no 4-subset of positions spells an evil pattern."""
+    level: list[Perm] = [()]
+    for m in range(1, n + 1):
+        quads = list(itertools.combinations(range(m), 4))
+        through = [[q for q in quads if p in q] for p in range(m)]
+        level = [w for u in level for p in range(m)
+                 for w in [u[:p] + (m,) + u[p:]]
+                 if not _spells_evil(w, through[p])]
+    return level
+
+
 def count_evil_avoiding(n: int) -> int:
-    """Count evil-avoiding permutations in all of S_n by direct filtering."""
+    """Count evil-avoiding permutations in all of S_n by filtering."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(1 for w in iter_perms(n) if is_evil_avoiding(w))
+    return len(evil_avoiders(n))
 
 
 def count_evil_avoiding_recurrence(n: int) -> int:

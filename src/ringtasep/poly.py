@@ -1,8 +1,14 @@
 """Exact sparse polynomials in x_1..x_n, y_1..y_n with integer coefficients.
 
-A polynomial is a dict mapping exponent tuples of length 2n (x block then
-y block) to nonzero Python ints.  All arithmetic is exact; there is no
-floating point anywhere in this module.  Evaluation returns Fractions.
+A polynomial is a dict mapping packed exponent keys to nonzero Python ints:
+the 2n exponents (x block then y block) as 8-bit fields of one int, x_1 in
+the most significant byte (Monagan & Pearce, CASC 2007), so key order is lex
+order and a monomial product is one integer addition.  An exponent outside
+0..255, given or produced by a product, raises ValueError; it never wraps.
+Exponent tuples appear only in constructors, queries and serialization.
+All arithmetic is exact; there is no floating point anywhere in this module.
+`evaluate` tabulates num^e * den^(D - e) for each variable, D its largest
+exponent, sums integer terms and divides once by the product of den^D.
 
 Canonical term order is graded lex on the concatenated exponent vector,
 descending, so that text serialization is unique and text equality is
@@ -12,9 +18,22 @@ polynomial equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import prod
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple  # length 2n, x block then y block
+
+_FIELD_MAX = 255  # 8-bit exponent fields
+
+
+def _pack(exp, width: int) -> int:
+    """The packed key of an exponent vector; bytes() rejects a field
+    outside 0..255 with ValueError."""
+    if len(exp) != width:
+        raise ValueError(f"exponent width {len(exp)} != {width}")
+    return int.from_bytes(bytes(exp), "big")
 
 
 class Poly:
@@ -26,15 +45,15 @@ class Poly:
         if n < 0:
             raise ValueError("variable count must be nonnegative")
         self.n = n
-        clean: dict[Exponent, int] = {}
-        if terms:
-            width = 2 * n
-            for exp, coef in terms.items():
-                if len(exp) != width:
-                    raise ValueError(f"exponent width {len(exp)} != {width}")
-                if coef:
-                    clean[tuple(exp)] = int(coef)
-        self.terms = clean
+        self.terms = {_pack(exp, 2 * n): int(coef)
+                      for exp, coef in (terms or {}).items() if coef}
+
+    @classmethod
+    def _of_keys(cls, n: int, terms: dict[int, int]) -> "Poly":
+        """Wrap packed keys with nonzero coefficients, unchecked."""
+        out = object.__new__(cls)
+        out.n, out.terms = n, terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -51,18 +70,14 @@ class Poly:
         """The variable x_i (1-indexed), optionally raised to a power."""
         if not 1 <= i <= n:
             raise ValueError(f"x index {i} out of range for n={n}")
-        exp = [0] * (2 * n)
-        exp[i - 1] = power
-        return cls(n, {tuple(exp): 1})
+        return cls.monomial(n, (0,) * (i - 1) + (power,))
 
     @classmethod
     def y(cls, n: int, i: int, power: int = 1) -> "Poly":
         """The variable y_i (1-indexed), optionally raised to a power."""
         if not 1 <= i <= n:
             raise ValueError(f"y index {i} out of range for n={n}")
-        exp = [0] * (2 * n)
-        exp[n + i - 1] = power
-        return cls(n, {tuple(exp): 1})
+        return cls.monomial(n, (), (0,) * (i - 1) + (power,))
 
     @classmethod
     def monomial(cls, n: int, xexp: Iterable[int], yexp: Iterable[int] = (),
@@ -81,35 +96,55 @@ class Poly:
         if self.n != other.n:
             raise ValueError(f"variable count mismatch: {self.n} vs {other.n}")
 
+    def _field_bound(self) -> int:
+        """An upper bound on every exponent field: the largest field of
+        the OR of all keys, at most twice the largest exponent."""
+        return max(reduce(or_, self.terms, 0).to_bytes(2 * self.n, "big"),
+                   default=0)
+
+    def _field_maxima(self) -> list[int]:
+        """The largest exponent of each variable over the terms."""
+        w = 2 * self.n
+        return list(map(max, zip(*(k.to_bytes(w, "big") for k in self.terms))))
+
     def __add__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
         out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            c = out.get(exp, 0) + coef
+        for key, coef in other.terms.items():
+            c = out.get(key, 0) + coef
             if c:
-                out[exp] = c
+                out[key] = c
             else:
-                out.pop(exp, None)
-        return Poly(self.n, out)
+                del out[key]
+        return Poly._of_keys(self.n, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {exp: -c for exp, c in self.terms.items()})
+        return Poly._of_keys(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_ring(other)
-        out: dict[Exponent, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(exp, 0) + c1 * c2
-                if c:
-                    out[exp] = c
-                else:
-                    del out[exp]
-        return Poly(self.n, out)
+        if (self._field_bound() + other._field_bound() > _FIELD_MAX
+                and any(p + q > _FIELD_MAX for p, q in
+                        zip(self._field_maxima(), other._field_maxima()))):
+            raise ValueError(f"product exponent exceeds {_FIELD_MAX}")
+        # one pass over the longer operand per term of the shorter one; the
+        # first pass cannot collide, and zero coefficients (from cancellation
+        # or an empty shorter operand) are dropped at the end
+        short, long_ = sorted((self.terms, other.terms), key=len)
+        pairs = iter(short.items())
+        k2, c2 = next(pairs, (0, 0))
+        out = {k1 + k2: c1 * c2 for k1, c1 in long_.items()}
+        get = out.get
+        for k2, c2 in pairs:
+            for k1, c1 in long_.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return Poly._of_keys(self.n, out)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -124,7 +159,8 @@ class Poly:
         return out
 
     def scale(self, c: int) -> "Poly":
-        return Poly(self.n, {e: c * co for e, co in self.terms.items()})
+        return Poly._of_keys(self.n, {k: c * co for k, co in self.terms.items()}
+                             if c else {})
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Poly) and self.n == other.n
@@ -148,19 +184,19 @@ class Poly:
 
     def homogeneous_degree(self) -> int | None:
         """Shared total degree of all terms, or None if inhomogeneous."""
-        if not self.terms:
-            return None
-        degs = {sum(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        w = 2 * self.n
+        degs = {sum(k.to_bytes(w, "big")) for k in self.terms}
+        return degs.pop() if len(degs) == 1 else None
 
     def coefficient(self, xexp: Iterable[int], yexp: Iterable[int] = ()) -> int:
         xe = tuple(xexp)
         ye = tuple(yexp)
         xe += (0,) * (self.n - len(xe))
         ye += (0,) * (self.n - len(ye))
-        return self.terms.get(xe + ye, 0)
+        try:
+            return self.terms.get(_pack(xe + ye, 2 * self.n), 0)
+        except ValueError:  # no term has that exponent
+            return 0
 
     # -- substitutions and operators ---------------------------------------
 
@@ -168,13 +204,11 @@ class Poly:
         """Exchange x_i and x_{i+1} (1-indexed)."""
         if not 1 <= i < self.n:
             raise ValueError(f"swap index {i} out of range")
-        a, b = i - 1, i
-        out: dict[Exponent, int] = {}
-        for exp, coef in self.terms.items():
-            e = list(exp)
-            e[a], e[b] = e[b], e[a]
-            out[tuple(e)] = coef
-        return Poly(self.n, out)
+        sb = 8 * (2 * self.n - 1 - i)  # x_{i+1}'s field; x_i's is 8 bits up
+        step = 255 << sb  # x_i up by one, x_{i+1} down by one
+        return Poly._of_keys(self.n, {
+            k + (((k >> sb) & 255) - ((k >> sb + 8) & 255)) * step: c
+            for k, c in self.terms.items()})
 
     def divided_difference(self, i: int) -> "Poly":
         """Apply (P - s_i P) / (x_i - x_{i+1}), acting on the x variables.
@@ -186,45 +220,44 @@ class Poly:
         """
         if not 1 <= i < self.n:
             raise ValueError(f"divided difference index {i} out of range")
-        ia, ib = i - 1, i
-        out: dict[Exponent, int] = {}
-        for exp, coef in self.terms.items():
-            a, b = exp[ia], exp[ib]
+        sb = 8 * (2 * self.n - 1 - i)  # x_{i+1}'s field; x_i's is 8 bits up
+        step = 255 << sb  # x_i up by one, x_{i+1} down by one
+        out: dict[int, int] = {}
+        for key, coef in self.terms.items():
+            a, b = (key >> sb + 8) & 255, (key >> sb) & 255
             if a == b:
                 continue
             lo, hi = (b, a) if a > b else (a, b)
             c = coef if a > b else -coef
-            e = list(exp)
-            for s in range(lo, hi):
-                e[ia] = s
-                e[ib] = a + b - 1 - s
-                key = tuple(e)
-                nc = out.get(key, 0) + c
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
-        return Poly(self.n, out)
+            # from fields (lo, hi - 1), each step moves one unit to x_i
+            k = key + (lo - a) * (1 << sb + 8) + (hi - 1 - b) * (1 << sb)
+            for _ in range(hi - lo):
+                out[k] = out.get(k, 0) + c
+                k += step
+        return Poly._of_keys(self.n, {k: c for k, c in out.items() if c})
 
     def substitute_y_zero(self) -> "Poly":
         """Set every y variable to 0."""
-        n = self.n
-        return Poly(n, {e: c for e, c in self.terms.items() if not any(e[n:])})
+        ymask = (1 << 8 * self.n) - 1
+        return Poly._of_keys(self.n, {k: c for k, c in self.terms.items()
+                                      if not k & ymask})
 
     def evaluate(self, xvals, yvals) -> Fraction:
         xvals = list(xvals)
         yvals = list(yvals)
         if len(xvals) != self.n or len(yvals) != self.n:
             raise ValueError("evaluation point length mismatch")
-        vals = [Fraction(v) for v in xvals + yvals]
-        total = Fraction(0)
-        for exp, coef in self.terms.items():
-            term = Fraction(coef)
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        w = 2 * self.n
+        rows = [k.to_bytes(w, "big") for k in self.terms]
+        tables = []
+        den_total = 1
+        for v, top in zip(map(Fraction, xvals + yvals), map(max, zip(*rows))):
+            num, den = v.numerator, v.denominator
+            tables.append([num ** e * den ** (top - e) for e in range(top + 1)])
+            den_total *= den ** top
+        total = sum(prod(map(list.__getitem__, tables, row), start=coef)
+                    for row, coef in zip(rows, self.terms.values()))
+        return Fraction(total, den_total)
 
     def embed(self, m: int) -> "Poly":
         """Reinterpret in the larger ring with m >= n variable pairs."""
@@ -232,10 +265,10 @@ class Poly:
             raise ValueError("cannot embed into a smaller ring")
         if m == self.n:
             return self
-        n = self.n
-        pad = (0,) * (m - n)
-        out = {exp[:n] + pad + exp[n:] + pad: c for exp, c in self.terms.items()}
-        return Poly(m, out)
+        n, pad = self.n, 8 * (m - self.n)
+        return Poly._of_keys(m, {((k >> 8 * n) << 8 * m + pad)
+                                 | ((k & (1 << 8 * n) - 1) << pad): c
+                                 for k, c in self.terms.items()})
 
     def monomial_content(self) -> tuple[Exponent, "Poly"]:
         """Largest monomial dividing every term, and the cofactor.
@@ -244,24 +277,19 @@ class Poly:
         """
         if not self.terms:
             raise ValueError("zero polynomial has no monomial content")
-        exps = iter(self.terms)
-        content = list(next(exps))
-        for exp in exps:
-            for k, e in enumerate(exp):
-                if e < content[k]:
-                    content[k] = e
-            if not any(content):
-                break
-        m = tuple(content)
-        q = Poly(self.n, {tuple(e - c for e, c in zip(exp, m)): co
-                          for exp, co in self.terms.items()})
-        return m, q
+        w = 2 * self.n
+        m = tuple(map(min, zip(*(k.to_bytes(w, "big") for k in self.terms))))
+        packed = _pack(m, w)
+        return m, Poly._of_keys(self.n, {k - packed: c
+                                         for k, c in self.terms.items()})
 
     # -- serialization -----------------------------------------------------
 
-    def _ordered_terms(self) -> Iterator[tuple[Exponent, int]]:
-        # graded lex, descending
-        return iter(sorted(self.terms.items(),
+    def _ordered_terms(self) -> Iterator[tuple[bytes, int]]:
+        # graded lex, descending; unpacked bytes compare as the keys do
+        w = 2 * self.n
+        return iter(sorted(((k.to_bytes(w, "big"), c)
+                            for k, c in self.terms.items()),
                            key=lambda t: (sum(t[0]), t[0]), reverse=True))
 
     def to_text(self) -> str:
@@ -290,13 +318,11 @@ class Poly:
 
     @classmethod
     def from_text(cls, n: int, text: str) -> "Poly":
-        out = cls.zero(n)
         text = text.strip()
         if text in ("", "0"):
-            return out
+            return cls.zero(n)
         # split into signed chunks
         chunks: list[str] = []
-        sign = 1
         buf = ""
         for tok in text.replace("-", " - ").replace("+", " + ").split():
             if tok in "+-":
@@ -309,10 +335,10 @@ class Poly:
                 buf = ""
         if buf:
             raise ValueError(f"dangling sign in {text!r}")
+        terms: dict[Exponent, int] = {}
         for chunk in chunks:
-            sign = -1 if chunk.startswith("-") else 1
+            coef = -1 if chunk.startswith("-") else 1
             body = chunk.lstrip("+-")
-            coef = sign
             exp = [0] * (2 * n)
             for factor in body.split("*"):
                 if factor.isdigit():
@@ -330,8 +356,9 @@ class Poly:
                 if not 0 <= idx < 2 * n:
                     raise ValueError(f"variable out of range in {factor!r}")
                 exp[idx] += power
-            out = out + cls(n, {tuple(exp): coef})
-        return out
+            exp = tuple(exp)
+            terms[exp] = terms.get(exp, 0) + coef
+        return cls(n, terms)
 
     def to_json_terms(self) -> list[dict]:
         n = self.n
@@ -349,7 +376,4 @@ class Poly:
 
 def product(polys: Iterable[Poly], n: int) -> Poly:
     """Product of an iterable of polynomials; empty product is 1."""
-    out = Poly.const(n, 1)
-    for p in polys:
-        out = out * p
-    return out
+    return prod(polys, start=Poly.const(n, 1))

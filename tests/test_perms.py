@@ -126,6 +126,13 @@ class TestCounting:
             assert perms.count_evil_avoiding_closed_form(n) == \
                 perms.count_evil_avoiding_recurrence(n)
 
+    def test_insertion_equals_direct_filter(self):
+        for n in range(1, 8):
+            grown = perms.evil_avoiders(n)
+            assert len(grown) == len(set(grown))
+            assert set(grown) == {w for w in perms.iter_perms(n)
+                                  if perms.is_evil_avoiding(w)}
+
 
 class TestSerialization:
     def test_roundtrip(self):

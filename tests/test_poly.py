@@ -186,3 +186,75 @@ class TestEmbed:
     def test_shrink_rejected(self):
         with pytest.raises(ValueError):
             x(1).embed(2)
+
+
+def naive_evaluate(p, xs, ys):
+    """Term-by-term Fraction evaluation, the exponents read from JSON."""
+    total = Fraction(0)
+    for item in p.to_json_terms():
+        term = Fraction(item["coef"])
+        for v, e in zip(list(xs) + list(ys), item["xexp"] + item["yexp"]):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+class TestPackedKernels:
+    @given(polys(), st.lists(st.fractions(max_denominator=50), min_size=6,
+                             max_size=6))
+    @settings(max_examples=80)
+    def test_evaluate_matches_naive(self, p, vals):
+        xs, ys = vals[:3], vals[3:]
+        assert p.evaluate(xs, ys) == naive_evaluate(p, xs, ys)
+
+    @given(polys(), st.lists(st.fractions(max_denominator=50), min_size=3,
+                             max_size=3))
+    @settings(max_examples=40)
+    def test_evaluate_at_y_zero_matches_naive(self, p, xs):
+        assert p.evaluate(xs, [0, 0, 0]) == naive_evaluate(p, xs, [0, 0, 0])
+        assert p.evaluate(xs, [0, 0, 0]) == \
+            p.substitute_y_zero().evaluate(xs, [1, 1, 1])
+
+    def test_evaluate_non_integer_and_zero(self):
+        p = Poly.monomial(2, (3, 0), (0, 2), coef=-4) + Poly.x(2, 2)
+        xs, ys = [Fraction(-2, 3), Fraction(5, 7)], [0, Fraction(1, 9)]
+        assert p.evaluate(xs, ys) == naive_evaluate(p, xs, ys) == \
+            Fraction(-4 * -8, 27 * 81) + Fraction(5, 7)
+        assert Poly.zero(2).evaluate(xs, ys) == 0
+        assert Poly.zero(0).evaluate([], []) == 0
+        assert Poly.const(0, 7).evaluate([], []) == 7
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 6),
+                           st.integers(-9, 9), max_size=8))
+    @settings(max_examples=60)
+    def test_json_order_is_graded_lex(self, d):
+        want = sorted(((e, c) for e, c in d.items() if c),
+                      key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        got = [(tuple(t["xexp"] + t["yexp"]), t["coef"])
+               for t in Poly(3, d).to_json_terms()]
+        assert got == want
+
+    def test_exponent_above_field_rejected(self):
+        assert Poly.x(2, 1, 255).coefficient((255,)) == 1
+        with pytest.raises(ValueError):
+            Poly.x(2, 1, 256)
+        with pytest.raises(ValueError):
+            Poly(1, {(0, 300): 1})
+
+    def test_product_overflow_raises(self):
+        assert Poly.x(2, 1, 200) * Poly.x(2, 1, 55) == Poly.x(2, 1, 255)
+        # large fields in different variables do not overflow
+        assert Poly.x(2, 1, 200) * Poly.y(2, 2, 200) == \
+            Poly.monomial(2, (200,), (0, 200))
+        with pytest.raises(ValueError):
+            Poly.x(2, 1, 200) * Poly.x(2, 1, 56)
+        # the lowest field must not carry into y_1
+        with pytest.raises(ValueError):
+            (Poly.y(2, 2, 255) + Poly.x(2, 2)) * Poly.y(2, 2)
+
+    def test_power_overflow_raises(self):
+        assert (Poly.x(2, 2, 85) ** 3).coefficient((0, 255)) == 1
+        with pytest.raises(ValueError):
+            Poly.x(2, 2, 64) ** 4
+        with pytest.raises(ValueError):
+            (Poly.x(1, 1) + Poly.y(1, 1)) ** 256
