@@ -2,8 +2,8 @@
 
 Three independent routes to the same stationary probabilities:
 
-* `chain` — exact linear-algebra solves of the Markov chain (rational at a
-  point, polynomial via interpolation for small rings);
+* `chain` — exact solves of the Markov chain by one elimination kernel,
+  over the integers at a point and over Z[x, y] for small rings;
 * `formulas` — closed product formulas in Schubert polynomials for the
   pattern-avoiding states;
 * `mlq` — multiline-queue weight sums at y = 0.

@@ -1,24 +1,19 @@
 """The inhomogeneous TASEP on a ring: chain construction and exact
 stationary distributions.
 
-Two solve paths are provided.  `stationary` solves one chain instance at a
-rational parameter point.  `symbolic_stationary` recovers the full
-stationary polynomials over Z[x, y]: the stationary vector is homogeneous of
-total degree C(n, 3) in x_1..x_{n-1}, y_1..y_{n-1}, so it is determined by
-exact solves at finitely many integer points followed by a linear fit; the
-fit is then certified by exact symbolic balance substitution.
-
 The rates depend only on particle labels, so the generator commutes with
 rotating the ring and the stationary vector is rotation invariant.  Both
-paths therefore work on the (n-1)! rotation classes, represented by the
-states with w_1 = 1: `stationary` solves the lumped balance system there,
-expands the answer to all n! states and certifies it by exact substitution
-into every balance equation of the full chain; the fit interpolates the
-representatives only.
+solves therefore find the null vector of the lumped balance system of the
+(n-1)! rotation classes, represented by the states with w_1 = 1, and expand
+it to all n! states.  `stationary` does so at a rational parameter point and
+certifies the answer by exact substitution into every balance equation of
+the full chain.  `symbolic_stationary` does so over Z[x, y], scales the
+identity state's entry to the normalization product, and certifies the
+polynomials by exact symbolic balance substitution.
 
-Both paths share one exact kernel: rows are scaled to integers, brought to
-row-echelon form by fraction-free (Bareiss) elimination over Python ints,
-and solved by integer back-substitution for any right-hand-side column.
+One exact kernel serves both rings, the ints and Z[x, y]: fraction-free
+(Bareiss) elimination to row-echelon form, then back-substitution by
+Cramer's rule, in which every division is exact.
 """
 
 from __future__ import annotations
@@ -140,29 +135,9 @@ def stationary(chain: ChainInstance) -> list:
             i, j = sorted(a for a, b in zip(u, v) if a != b)
             raise ValueError(f"transition rate x{i} - y{n + 1 - j} is not "
                              "strictly positive")
-    reps = [s for s in states if s[0] == 1]
-    m = len(reps)
-    idx = {s: k for k, s in enumerate(reps)}
-    # columns are representatives; row v holds the balance equation at v:
-    # sum_{u->v} rate(u->v) * pi[rot(u)] - pi_v * outflow(v) = 0
-    A = [[0] * m for _ in range(m)]
-    for (u, v), r in rates.items():
-        if v[0] == 1:
-            A[idx[v]][idx[_rotate_to_one(u)]] += r
-        if u[0] == 1:
-            A[idx[u]][idx[u]] -= r
-    A = [_integer_row(row) for row in A]
-    pivots = _echelon(A)
-    if len(pivots) != m - 1:
-        raise ValueError("chain is reducible or not rotation invariant: "
-                         f"lumped null space dimension {m - len(pivots)}")
-    # the free column enters with coefficient -1, so the pivot entries solve
-    # the system whose right-hand side is that column
-    free = min(set(range(m)) - set(pivots))
-    vec = [Fraction(-1)] * m
-    for col, v in zip(pivots, _back_substitute(A, pivots, free)):
-        vec[col] = v
-    vec = _integer_row(vec)
+    idx = {rep: k for k, rep in enumerate(s for s in states if s[0] == 1)}
+    A = [_integer_row(row) for row in _lumped(rates, idx, 0)]
+    vec = _integer_row(_null_vector(A))
     full = {s: vec[idx[_rotate_to_one(s)]] for s in states}
     total = sum(full.values())
     if total == 0:
@@ -189,6 +164,21 @@ def _residuals(psi: dict, rates: dict) -> dict:
     return res
 
 
+def _lumped(rates: dict, idx: dict, zero) -> list:
+    """The balance matrix of the rotation classes: columns are the
+    representatives w_1 = 1 (numbered by idx), and row v holds the balance
+    equation at v, sum_{u->v} rate(u->v) * pi[rot(u)] - pi_v * outflow(v).
+    Entries are sums of rates, starting from the ring's zero."""
+    m = len(idx)
+    A = [[zero] * m for _ in range(m)]
+    for (u, v), r in rates.items():
+        if v[0] == 1:
+            A[idx[v]][idx[_rotate_to_one(u)]] += r
+        if u[0] == 1:
+            A[idx[u]][idx[u]] -= r
+    return A
+
+
 def _integer_row(row: list) -> list:
     """The primitive integer row on the ray of a rational row: the row times
     the lcm of its denominators, divided by the gcd of the result.  It has
@@ -201,9 +191,9 @@ def _integer_row(row: list) -> list:
 
 
 def _echelon(A: list) -> list:
-    """Bring the integer matrix A to row-echelon form in place by
-    fraction-free (Bareiss) elimination, skipping columns with no pivot, and
-    return the pivot columns.  Every entry stays an integer minor of the
+    """Bring the matrix A over the ints or Z[x, y] to row-echelon form in
+    place by fraction-free (Bareiss) elimination, skipping columns with no
+    pivot, and return the pivot columns.  Every entry stays a minor of the
     input, so each division is exact."""
     pivots: list[int] = []
     prev = 1
@@ -227,19 +217,29 @@ def _echelon(A: list) -> list:
     return pivots
 
 
-def _back_substitute(A: list, pivots: list, col: int) -> list:
-    """The rational x with sum_j A[r][pivots[j]] * x_j = A[r][col] for the
-    echelon form A, one entry per pivot column.  The last pivot d is the
-    determinant of the pivot block up to sign, so d * x is integral
-    (Cramer's rule) and every division below is exact."""
+def _null_vector(A: list) -> list:
+    """A nonzero null vector of the square matrix A, whose null space must be
+    one-dimensional, with entries in A's ring (ints or Polys).  A is brought
+    to echelon form in place; the column without a pivot gets -d, d the last
+    pivot, and the pivot columns follow by back-substitution.  d is the
+    determinant of the pivot block up to sign, so by Cramer's rule every
+    division is exact."""
+    m = len(A)
+    pivots = _echelon(A)
+    if len(pivots) != m - 1:
+        raise ValueError("chain is reducible or not rotation invariant: "
+                         f"lumped null space dimension {m - len(pivots)}")
+    free = min(set(range(m)) - set(pivots))
     k = len(pivots)
-    d = A[k - 1][pivots[-1]] if pivots else 1
-    y = [0] * k
+    d = A[k - 1][pivots[-1]] if pivots else A[0][0] ** 0  # the ring's one
+    vec = [-d] * m
     for r in range(k - 1, -1, -1):
         row = A[r]
-        s = d * row[col] - sum(row[pivots[j]] * y[j] for j in range(r + 1, k))
-        y[r] = s // row[pivots[r]]
-    return [Fraction(v, d) for v in y]
+        s = d * row[free]
+        for j in range(r + 1, k):
+            s = s - row[pivots[j]] * vec[pivots[j]]
+        vec[pivots[r]] = s // row[pivots[r]]
+    return vec
 
 
 def normalization_polynomial(n: int) -> Poly:
@@ -268,18 +268,7 @@ def solve_renormalized(n: int, params: RateParams) -> dict:
     return dict(zip(chain.states, psi))
 
 
-# -- symbolic solve via exact interpolation --------------------------------
-
-def _homogeneous_exponents(nvars: int, degree: int):
-    """All exponent vectors of the given length summing to the degree."""
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    for first in range(degree, -1, -1):
-        for rest in _homogeneous_exponents(nvars - 1, degree - first):
-            yield (first,) + rest
-
+# -- symbolic solve over Z[x, y] ------------------------------------------
 
 def sample_integer_params(n: int, rng: random.Random, xlo: int = 50,
                           xhi: int = 120, ymax: int = 30) -> RateParams:
@@ -293,26 +282,15 @@ def sample_integer_params(n: int, rng: random.Random, xlo: int = 50,
     return RateParams(xv, yv)
 
 
-def _fit_coefficients(monos: list, points: list, values: list) -> list:
-    """Solve the square Vandermonde system V c = b_k for every right-hand
-    side simultaneously by eliminating [V | b] with the shared kernel.
-    Returns one coefficient list per right-hand side."""
-    M = len(monos)
-    A = [_integer_row([math.prod(v ** e for v, e in zip(pt, mono))
-                       for mono in monos] + vals)
-         for pt, vals in zip(points, values)]
-    pivots = _echelon(A)
-    if pivots != list(range(M)):
-        raise ValueError("singular interpolation system")
-    return [_back_substitute(A, pivots, M + k) for k in range(len(values[0]))]
-
-
 def symbolic_stationary(n: int) -> dict:
     """Renormalized stationary probabilities as exact polynomials in
     Z[x_1..x_n, y_1..y_n], for every state.
 
-    Feasibility-bounded: capped at n = 4; an n = 5 fit would need 19,448
-    monomials per state.  Results are cached per n.
+    The lumped balance system is eliminated over Z[x, y] by the point
+    solve's kernel, and psi_w = N * v_w / v_identity for its null vector v,
+    N the normalization product.  Capped at n = 4: at n = 5 the last
+    Bareiss pivot of the 24 x 24 system is a minor of degree 23 in 8
+    variables.  Results are cached per n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -322,57 +300,37 @@ def symbolic_stationary(n: int) -> dict:
     if cached is not None:
         return cached
 
-    degree = math.comb(n, 3)
-    active = n - 1  # only x_1..x_{n-1}, y_1..y_{n-1} appear in the rates
-    monos = list(_homogeneous_exponents(2 * active, degree))
     states = list(perms.iter_perms(n))
-    # psi is rotation invariant: fit the representatives w_1 = 1 only
-    reps = [s for s in states if s[0] == 1]
-    rng = random.Random(20240 + n)
+    idx = {rep: k for k, rep in enumerate(s for s in states if s[0] == 1)}
+    v = _null_vector(_lumped(_polynomial_rates(states, n), idx, Poly.zero(n)))
+    norm = normalization_polynomial(n)
+    try:  # v[0] is the identity state's entry
+        psi = {s: norm * v[k] // v[0] for s, k in idx.items()}
+    except ValueError as exc:
+        raise AssertionError(f"symbolic null vector: {exc}") from None
+    out = {s: psi[_rotate_to_one(s)] for s in states}
 
-    points, values = [], []
-    seen = set()
-    while len(points) < len(monos):
-        params = sample_integer_params(n, rng)
-        pt = tuple(params.xvals[:active] + params.yvals[:active])
-        if pt in seen:
-            continue
-        seen.add(pt)
-        psi = solve_renormalized(n, params)
-        points.append(pt)
-        values.append([psi[s] for s in reps])
-
-    coeffs = _fit_coefficients(monos, points, values)
-    fitted = {}
-    for s, cs in zip(reps, coeffs):
-        terms = {}
-        for mono, c in zip(monos, cs):
-            if c:
-                if c.denominator != 1:
-                    raise ValueError("non-integer fitted coefficient")
-                xe = mono[:active] + (0,) * (n - active)
-                ye = mono[active:] + (0,) * (n - active)
-                terms[xe + ye] = int(c)
-        fitted[s] = Poly(n, terms)
-    out = {s: fitted[_rotate_to_one(s)] for s in states}
-
-    # certify the fit: the balance null space over Q(x, y) is one-dimensional,
-    # so a balanced vector with the identity entry fixed is the stationary one
+    # certificate: the balance null space over Q(x, y) is one-dimensional, so
+    # a balanced vector with the identity entry fixed is the stationary one
     residuals = global_balance_residuals(out, n)
     if (any(not r.is_zero() for r in residuals.values())
-            or out[states[0]] != normalization_polynomial(n)):
-        raise AssertionError("interpolated stationary polynomials fail the "
+            or out[states[0]] != norm):
+        raise AssertionError("symbolic stationary polynomials fail the "
                              "exact balance certificate")
     _symbolic_cache[n] = out
     return out
 
 
+def _polynomial_rates(states, n: int) -> dict:
+    """Every edge (u, v) out of the given states -> its rate in Z[x, y]."""
+    return {(u, t): rate_polynomial(u[p], u[(p + 1) % n], n)
+            for u in states for p, t in swap_moves(u)}
+
+
 def global_balance_residuals(psis: dict, n: int) -> dict:
     """Symbolic balance check: for each state v, inflow minus outflow of
     the polynomial stationary vector.  All residuals must be zero."""
-    rates = {(u, t): rate_polynomial(u[p], u[(p + 1) % n], n)
-             for u in psis for p, t in swap_moves(u)}
-    return _residuals(psis, rates)
+    return _residuals(psis, _polynomial_rates(psis, n))
 
 
 # -- randomized identity testing -------------------------------------------

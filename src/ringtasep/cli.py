@@ -189,9 +189,7 @@ def cmd_count(args) -> int:
 
 def cmd_mlq(args) -> int:
     w = perms.parse_perm(args.state)
-    n = args.n if args.n else len(w)
-    if n != len(w):
-        raise _usage("--n disagrees with --state length")
+    n = len(w)
     if args.list:
         lines = []
         for q in mlq.iter_queues(n):
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mlq", help="queue sums for a state")
     p.add_argument("--state", required=True)
-    p.add_argument("--n", type=int)
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=cmd_mlq)
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from math import prod
-from operator import or_
+from operator import gt, or_, sub
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple  # length 2n, x block then y block
@@ -157,6 +158,37 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return out
+
+    def __floordiv__(self, other: "Poly | int") -> "Poly":
+        """The exact quotient by long division on other's largest key.
+        Raises ZeroDivisionError for a zero divisor and ValueError unless
+        other divides self, which a quotient field past
+        deg_i(self) - deg_i(other) proves; within that bound no field wraps."""
+        if isinstance(other, int):
+            other = Poly.const(self.n, other)
+        self._check_ring(other)
+        if not other.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        bound = list(map(sub, self._field_maxima(), other._field_maxima()))
+        lead, lc = max(other.terms.items())
+        rest = [(k - lead, c) for k, c in other.terms.items() if k != lead]
+        rem, out = dict(self.terms), {}
+        heap = sorted(-k for k in rem)  # a max-heap of the remainder's keys
+        while heap:  # keys leave in decreasing order and never return
+            key = -heappop(heap)
+            q, r = divmod(rem.pop(key), lc)
+            if not q and not r:
+                continue
+            qk = key - lead
+            if r or qk < 0 or any(map(gt, qk.to_bytes(2 * self.n, "big"),
+                                      bound)):
+                raise ValueError("divisor does not divide exactly")
+            out[qk] = q
+            for off, c in rest:
+                if key + off not in rem:
+                    heappush(heap, -key - off)
+                rem[key + off] = rem.get(key + off, 0) - q * c
+        return Poly._of_keys(self.n, out)
 
     def scale(self, c: int) -> "Poly":
         return Poly._of_keys(self.n, {k: c * co for k, co in self.terms.items()}

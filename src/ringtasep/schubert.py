@@ -57,33 +57,26 @@ def apply_divided_differences(p: Poly, w: Perm) -> Poly:
     return p
 
 
-def double_schubert(w: Perm) -> Poly:
-    """Divided differences along w^{-1} w_0 applied to delta(n)."""
+def _from_top(cache: dict, top, w: Perm) -> Poly:
+    """Divided differences along w^{-1} w_0 applied to top(n), n = len(w),
+    memoized in cache per (n, w)."""
     w = perms.check_perm(w)
     n = len(w)
-    key = (n, w)
-    cached = _double_cache.get(key)
-    if cached is not None:
-        return cached
-    u = perms.compose(perms.inverse(w), perms.longest_element(n))
-    out = apply_divided_differences(delta(n), u)
-    _double_cache[key] = out
-    return out
+    if (n, w) not in cache:
+        u = perms.compose(perms.inverse(w), perms.longest_element(n))
+        cache[n, w] = apply_divided_differences(top(n), u)
+    return cache[n, w]
+
+
+def double_schubert(w: Perm) -> Poly:
+    """Divided differences along w^{-1} w_0 applied to delta(n)."""
+    return _from_top(_double_cache, delta, w)
 
 
 def single_schubert(w: Perm) -> Poly:
     """The y = 0 specialization, computed directly from the staircase
     monomial (an independent route from double_schubert)."""
-    w = perms.check_perm(w)
-    n = len(w)
-    key = (n, w)
-    cached = _single_cache.get(key)
-    if cached is not None:
-        return cached
-    u = perms.compose(perms.inverse(w), perms.longest_element(n))
-    out = apply_divided_differences(staircase_monomial(n), u)
-    _single_cache[key] = out
-    return out
+    return _from_top(_single_cache, staircase_monomial, w)
 
 
 def is_vexillary(w: Perm) -> bool:

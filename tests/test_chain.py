@@ -32,15 +32,9 @@ def full_stationary(c):
     for (u, v), r in c.rates.items():
         A[idx[v]][idx[u]] += r
         A[idx[u]][idx[u]] -= r
-    A = [chain._integer_row(row) for row in A]
-    pivots = chain._echelon(A)
-    assert len(pivots) == N - 1
-    free = min(set(range(N)) - set(pivots))
-    vec = [Fraction(-1)] * N
-    for col, v in zip(pivots, chain._back_substitute(A, pivots, free)):
-        vec[col] = v
+    vec = chain._null_vector([chain._integer_row(row) for row in A])
     total = sum(vec)
-    return [v / total for v in vec]
+    return [Fraction(v, total) for v in vec]
 
 
 class TestRates:
@@ -173,18 +167,6 @@ class TestKernel:
         A = [[0, 2, 4], [0, 1, 3]]
         assert chain._echelon(A) == [1, 2]
 
-    def test_fit_rational_values(self):
-        # c1 + 2 c2 = 1/2, 3 c1 + 5 c2 = 1/3
-        coeffs = chain._fit_coefficients(
-            [(1, 0), (0, 1)], [(1, 2), (3, 5)],
-            [[Fraction(1, 2)], [Fraction(1, 3)]])
-        assert coeffs == [[Fraction(-11, 6), Fraction(7, 6)]]
-
-    def test_singular_fit_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            chain._fit_coefficients([(1, 0), (0, 1)], [(1, 1), (2, 2)],
-                                    [[Fraction(1)], [Fraction(2)]])
-
 
 class TestSymbolic:
     def test_n3_exact(self, symbolic_n3):
@@ -203,14 +185,15 @@ class TestSymbolic:
             chain.symbolic_stationary(5)
 
     def test_certificate_rejects_wrong_fit(self, monkeypatch):
-        fit = chain._fit_coefficients
+        null_vector = chain._null_vector
 
-        def off_by_one(monos, points, values):
-            coeffs = fit(monos, points, values)
-            coeffs[1][0] += 1
-            return coeffs
+        def off_by_identity(A):
+            # psi_1 gains N: the division stays exact, the balance fails
+            v = null_vector(A)
+            v[1] = v[1] + v[0]
+            return v
         monkeypatch.setattr(chain, "_symbolic_cache", {})
-        monkeypatch.setattr(chain, "_fit_coefficients", off_by_one)
+        monkeypatch.setattr(chain, "_null_vector", off_by_identity)
         with pytest.raises(AssertionError, match="balance certificate"):
             chain.symbolic_stationary(3)
 

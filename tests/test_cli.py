@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ringtasep import chain, cli
+from ringtasep.poly import Poly
 
 
 def run(capsys, *argv):
@@ -168,19 +169,36 @@ class TestVerify:
         assert "mlq: 120 cases, all passed" in out
 
     def test_internal_check_failure_is_exit_1(self, capsys, monkeypatch):
-        fit = chain._fit_coefficients
+        null_vector = chain._null_vector
 
-        def off_by_one(monos, points, values):
-            coeffs = fit(monos, points, values)
-            coeffs[1][0] += 1
-            return coeffs
+        def off_by_identity(A):
+            v = null_vector(A)
+            v[1] = v[1] + v[0]
+            return v
         monkeypatch.setattr(chain, "_symbolic_cache", {})
-        monkeypatch.setattr(chain, "_fit_coefficients", off_by_one)
+        monkeypatch.setattr(chain, "_null_vector", off_by_identity)
         code, out, err = run(capsys, "verify", "--n", "3", "--suite", "main")
         assert code == 1
         assert out == ""
         assert err.startswith("internal check failed: ")
         assert "balance certificate" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_inexact_symbolic_division_is_exit_1(self, capsys, monkeypatch):
+        null_vector = chain._null_vector
+
+        def off_by_one(A):
+            v = null_vector(A)
+            v[1] = v[1] + Poly.const(4, 1)
+            return v
+        monkeypatch.setattr(chain, "_symbolic_cache", {})
+        monkeypatch.setattr(chain, "_null_vector", off_by_one)
+        code, out, err = run(capsys, "verify", "--n", "4", "--suite", "main")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal check failed: ")
+        assert "does not divide exactly" in err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 

@@ -258,3 +258,54 @@ class TestPackedKernels:
             Poly.x(2, 2, 64) ** 4
         with pytest.raises(ValueError):
             (Poly.x(1, 1) + Poly.y(1, 1)) ** 256
+
+
+class TestExactDivision:
+    @given(polys(), polys())
+    @settings(max_examples=60)
+    def test_product_divided_by_factor(self, a, b):
+        if b.is_zero():
+            b = Poly.const(3, -2)
+        assert (a * b) // b == a
+
+    @given(polys(), st.integers(-9, 9).filter(bool))
+    @settings(max_examples=30)
+    def test_int_divisor(self, a, c):
+        assert a.scale(c) // c == a
+        assert a // 1 == a
+
+    def test_zero_dividend(self):
+        assert (Poly.zero(3) // (x(1) - y(2))).is_zero()
+
+    @pytest.mark.parametrize("num, den", [
+        (x(1), x(2)),
+        (x(1) + x(2), x(1)),
+        (x(1).scale(3), x(1).scale(2)),
+        (x(1).scale(3), 2),
+        (x(1) * x(1) + y(1), x(1) - y(1)),
+        (Poly.const(3, 1), x(1)),
+    ])
+    def test_non_multiple_rejected(self, num, den):
+        with pytest.raises(ValueError, match="divide exactly"):
+            num // den
+
+    @pytest.mark.parametrize("den", [Poly.zero(3), 0])
+    def test_zero_divisor(self, den):
+        with pytest.raises(ZeroDivisionError):
+            x(1) // den
+
+    def test_fields_near_255(self):
+        n = 2
+        a = Poly.monomial(n, (200, 0), (0, 255)) - Poly.monomial(n, (0, 3))
+        b = Poly.x(n, 1, 55) - Poly.y(n, 1, 255)
+        assert (a * b) // b == a
+        top = Poly.monomial(n, (255, 1), (255, 0))
+        assert top // Poly.monomial(n, (255, 1)) == Poly.y(n, 1, 255)
+        assert top // Poly.monomial(n, (1, 1)) == Poly.monomial(n, (254,),
+                                                               (255,))
+        # a borrow across fields would make these look divisible
+        for num, den in ((Poly.x(n, 1, 255), Poly.x(n, 2)),
+                         (Poly.x(n, 2, 255), Poly.x(n, 1)),
+                         (Poly.y(n, 1, 255), Poly.y(n, 2, 255))):
+            with pytest.raises(ValueError, match="divide exactly"):
+                num // den
