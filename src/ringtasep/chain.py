@@ -101,6 +101,8 @@ class ChainInstance:
 
 
 def build_chain(n: int, params: RateParams) -> ChainInstance:
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if params.n != n:
         raise ValueError("params size mismatch")
     states = list(perms.iter_perms(n))

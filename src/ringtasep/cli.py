@@ -84,14 +84,15 @@ def _usage(msg: str) -> "SystemExit":
 
 # -- parameter handling ----------------------------------------------------
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def _load_params(args, n: int) -> RateParams:
     if args.params:
-        with open(args.params) as fh:
-            vals = [_parse_fraction(ln) for ln in fh if ln.strip()]
+        try:
+            with open(args.params) as fh:
+                vals = [Fraction(ln) for ln in fh if ln.strip()]
+        except OSError as exc:
+            raise _usage(f"cannot read params file: {exc}")
+        except ZeroDivisionError:
+            raise _usage("params file holds a zero denominator")
         if len(vals) != 2 * n:
             raise _usage(f"params file must hold {2 * n} rationals "
                          f"(x block then y block), got {len(vals)}")
@@ -107,7 +108,10 @@ def _load_params(args, n: int) -> RateParams:
             idx = int(name[1:])
             if not 1 <= idx <= n:
                 raise _usage(f"x index out of range in {item!r}")
-            xvals[idx - 1] = _parse_fraction(val)
+            try:
+                xvals[idx - 1] = Fraction(val)
+            except ZeroDivisionError:
+                raise _usage(f"zero denominator in {item!r}")
             seen.add(idx)
     if args.y_zero:
         missing = [i for i in range(1, n + 1) if i not in seen]
@@ -171,6 +175,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.max_n < 1:
+        raise _usage(f"--max-n must be at least 1, got {args.max_n}")
     counts = []
     for n in range(1, args.max_n + 1):
         got = perms.count_evil_avoiding(n)
@@ -191,12 +197,9 @@ def cmd_mlq(args) -> int:
     w = perms.parse_perm(args.state)
     n = len(w)
     if args.list:
-        lines = []
-        for q in mlq.iter_queues(n):
-            pq = mlq.bully_project(q)
-            if mlq.queue_type(pq) == w:
-                lines.append((q.to_text(),
-                              Poly.monomial(n, mlq.queue_weight(pq)).to_text()))
+        lines = [(pq.to_text(),
+                  Poly.monomial(n, mlq.queue_weight(pq)).to_text())
+                 for pq in mlq.queues_of_type(w)]
         if args.json:
             print(json.dumps({"schema": JSON_SCHEMA,
                               "state": perms.perm_str(w),

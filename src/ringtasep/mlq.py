@@ -6,7 +6,8 @@ A queue is an L x n occupancy grid.  Columns are numbered right to left in
 all text and reading conventions; internally the grid is stored left to
 right (index p holds column n - p) and the convention is applied only at
 the read/print boundary.  For permutation states L = n - 1 and row r holds
-exactly r balls.
+exactly r balls.  A projected queue prints each ball as its class and each
+vacancy as '.', which is what `ringtasep mlq --list` draws.
 """
 
 from __future__ import annotations
@@ -64,14 +65,18 @@ class MultilineQueue:
 @dataclass(frozen=True)
 class ProjectedQueue:
     queue: MultilineQueue
-    classes: tuple   # per row, dict-free: tuple of (index, class) pairs
+    classes: tuple   # per row, a dict from grid index to class
     covered: tuple   # ((row, index, class), ...) per covered vacancy
 
     def class_at(self, row: int, index: int) -> int | None:
-        for p, c in self.classes[row - 1]:
-            if p == index:
-                return c
-        return None
+        return self.classes[row - 1].get(index)
+
+    def to_text(self) -> str:
+        """One line per row, each ball drawn as its class and each vacancy
+        as '.', leftmost character = column n."""
+        return "\n".join(
+            "".join(str(cl.get(p, ".")) for p in range(self.queue.n))
+            for cl in self.classes)
 
 
 def bully_project(q: MultilineQueue) -> ProjectedQueue:
@@ -84,17 +89,14 @@ def bully_project(q: MultilineQueue) -> ProjectedQueue:
     smaller class, is recorded as i-covered.
     """
     n = q.n
-    L = q.num_rows
-    classes: list[dict[int, int]] = [dict() for _ in range(L)]
-    for p in q.rows[0]:
-        classes[0][p] = 1
+    classes: list[dict[int, int]] = [dict.fromkeys(q.rows[0], 1)]
     covered: dict[tuple[int, int], int] = {}
-    for r in range(L - 1):
+    for r in range(q.num_rows - 1):
         below = set(q.rows[r + 1])
         unmatched = set(below)
-        order = sorted(q.rows[r], key=lambda p: (classes[r][p], p))
-        for p in order:
-            cls = classes[r][p]
+        above, cur = classes[r], {}
+        for p in sorted(q.rows[r], key=lambda p: (above[p], p)):
+            cls = above[p]
             pos = p
             while pos not in unmatched:
                 if pos not in below:
@@ -103,14 +105,12 @@ def bully_project(q: MultilineQueue) -> ProjectedQueue:
                         covered[key] = cls
                 pos = (pos + 1) % n
             unmatched.remove(pos)
-            classes[r + 1][pos] = cls
-        nxt = r + 2
+            cur[pos] = cls
         for p in q.rows[r + 1]:
-            if p not in classes[r + 1]:
-                classes[r + 1][p] = nxt
+            cur.setdefault(p, r + 2)
+        classes.append(cur)
     return ProjectedQueue(
-        q,
-        tuple(tuple(sorted(cl.items())) for cl in classes),
+        q, tuple(classes),
         tuple(sorted((row + 1, idx, cls)
                      for (row, idx), cls in covered.items())))
 
@@ -118,7 +118,7 @@ def bully_project(q: MultilineQueue) -> ProjectedQueue:
 def queue_type(pq: ProjectedQueue) -> tuple:
     """Bottom-row classes read right to left, vacancies reading L + 1."""
     q = pq.queue
-    bottom = dict(pq.classes[-1])
+    bottom = pq.classes[-1]
     return tuple(bottom.get(q.n - c, q.num_rows + 1)
                  for c in range(1, q.n + 1))
 
@@ -146,9 +146,20 @@ def queue_weight(pq: ProjectedQueue) -> tuple:
 
 def iter_queues(n: int) -> Iterator[MultilineQueue]:
     """All (n-1) x n queues with row ball counts 1, 2, ..., n-1."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     choices = [itertools.combinations(range(n), r) for r in range(1, n)]
     for rows in itertools.product(*choices):
         yield MultilineQueue(n, tuple(rows))
+
+
+def queues_of_type(w: Perm) -> Iterator[ProjectedQueue]:
+    """The projected queues of type w, in `iter_queues` order."""
+    w = perms.check_perm(w)
+    for q in iter_queues(len(w)):
+        pq = bully_project(q)
+        if queue_type(pq) == w:
+            yield pq
 
 
 def psi_via_mlq(w: Perm) -> Poly:
@@ -208,12 +219,7 @@ def d_prime(lam, d) -> tuple:
     """Flag vector: for lam = (mu_1^{b_1}, ..., mu_k^{b_k}) concatenate
     (d_i - b_i, ..., d_i - 1) for each block."""
     lam = tuple(p for p in lam if p)
-    blocks: list[tuple[int, int]] = []
-    for part in lam:
-        if blocks and blocks[-1][0] == part:
-            blocks[-1] = (part, blocks[-1][1] + 1)
-        else:
-            blocks.append((part, 1))
+    blocks = [(mu, len(list(g))) for mu, g in itertools.groupby(lam)]
     if len(blocks) != len(d):
         raise ValueError("one d entry per distinct part value is required")
     out: list[int] = []
@@ -235,25 +241,15 @@ def verify_grassmannian_bijection(lam, n: int) -> bool:
     w, d = w_of_partition(lam, n)
     dp = d_prime(lam, d)
 
-    weights = Counter()
-    for q in iter_queues(n):
-        pq = bully_project(q)
-        if queue_type(pq) == w:
-            weights[queue_weight(pq)] += 1
+    weights = Counter(queue_weight(pq) for pq in queues_of_type(w))
 
     tabs = Counter()
     for t in schubert.ssyt_enumerate(lam, dp):
         tabs[schubert.tableau_content(t, n - 1)] += 1
-    if not lam:
-        tabs = Counter({(0,) * (n - 1): 1})
 
-    if sum(weights.values()) != sum(tabs.values()):
+    if not weights or sum(weights.values()) != sum(tabs.values()):
         return False
-    if not weights:
-        return False
-    kmin_w = min(weights)
-    kmin_t = min(tabs)
-    shift = tuple(a - b for a, b in zip(kmin_w, kmin_t))
+    shift = tuple(a - b for a, b in zip(min(weights), min(tabs)))
     shifted = Counter({tuple(a + b for a, b in zip(exp, shift)): c
                        for exp, c in tabs.items()})
     return shifted == weights

@@ -145,13 +145,9 @@ def tableau_content(t: tuple, nvals: int) -> tuple:
     return tuple(counts)
 
 
-def flagged_schur(shape_: tuple, bounds: tuple, nvars: int | None = None) -> Poly:
-    """Sum of x^content(T) over the flagged tableau enumeration."""
-    shape_ = tuple(shape_)
-    bounds = tuple(bounds)
-    if nvars is None:
-        nvars = max(bounds[:len(shape_)], default=0)
-        nvars = max(nvars, 1)
+def flagged_schur(shape_: tuple, bounds: tuple, nvars: int) -> Poly:
+    """Sum of x^content(T) in x_1..x_nvars over the flagged tableau
+    enumeration."""
     out = Poly.zero(nvars)
     for t in ssyt_enumerate(shape_, bounds):
         out = out + Poly.monomial(nvars, tableau_content(t, nvars))

@@ -54,6 +54,14 @@ class TestPsi:
         assert set(psi) == {"1,2,3", "1,3,2", "2,1,3",
                             "2,3,1", "3,1,2", "3,2,1"}
 
+    def test_params_file_lines_with_spaces(self, capsys, tmp_path):
+        f = tmp_path / "params.txt"
+        f.write_text(" 7 \n\t5\n4\t\n 1/1\n2\n  3\n")
+        code, out, _ = run(capsys, "--json", "psi", "--n", "3",
+                           "--params", str(f))
+        assert code == 0
+        assert json.loads(out)["psi"]["1,2,3"] == "6"
+
     def test_missing_params_is_usage_error(self, capsys):
         code, _, err = run(capsys, "psi", "--n", "3")
         assert code == 2
@@ -110,6 +118,21 @@ class TestMlq:
         code, out, _ = run(capsys, "mlq", "--state", "1,2,3", "--list")
         assert code == 0
         assert out.strip().endswith("queues")
+
+    def test_list_draws_classes(self, capsys):
+        code, out, err = run(capsys, "mlq", "--state", "1,3,2", "--list")
+        assert code == 0
+        assert err == ""
+        assert out.strip() == (".1.\n2.1\nweight: x2\n\n..1\n2.1\n"
+                               "weight: x1\n\n2 queues")
+
+    def test_list_json_grids(self, capsys):
+        code, out, _ = run(capsys, "--json", "mlq", "--state", "1,3,2",
+                           "--list")
+        assert code == 0
+        assert json.loads(out)["queues"] == [
+            {"grid": ".1.\n2.1", "weight": "x2"},
+            {"grid": "..1\n2.1", "weight": "x1"}]
 
     def test_n_mismatch_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "mlq", "--state", "1,3,2", "--n", "4")
@@ -237,6 +260,31 @@ class TestDeterminism:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("psi", "--n", "0", "--y-zero"),
+        ("psi", "--n", "2", "--params", "{missing}"),
+        ("psi", "--n", "2", "--y-zero", "--eval", "x1=1/0,x2=1"),
+        ("mlq", "--state", "1"),
+        ("mlq", "--state", "1", "--list"),
+        ("verify", "--n", "1", "--suite", "mlq"),
+        ("count", "--max-n", "0"),
+    ])
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, *(a.format(missing=missing)
+                                       for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.strip()
+        assert "Traceback" not in err
+
+    def test_zero_denominator_in_params_file(self, capsys, tmp_path):
+        f = tmp_path / "params.txt"
+        f.write_text("1/0\n1\n1\n1\n")
+        code, out, err = run(capsys, "psi", "--n", "2", "--params", str(f))
+        assert code == 2
+        assert "zero denominator" in err
+
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2

@@ -59,6 +59,16 @@ class TestProjection:
         want = tuple(sum(vac[i:]) for i in range(1, n - 1)) + (0,)
         assert mlq.queue_weight(pq) == want
 
+    def test_class_grid_text(self):
+        # each ball drawn as its class, leftmost character = column n
+        pq = mlq.bully_project(example_queue())
+        assert pq.to_text() == "...1.\n..2.1\n3..21\n.3421"
+
+    def test_queues_of_type_counts(self, mlq_n4):
+        for w in perms.iter_perms(4):
+            want = mlq_n4[w].evaluate((1,) * 4, (0,) * 4)
+            assert len(list(mlq.queues_of_type(w))) == want, w
+
     def test_type_is_permutation(self):
         for q in mlq.iter_queues(4):
             t = mlq.queue_type(mlq.bully_project(q))
