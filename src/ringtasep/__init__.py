@@ -9,10 +9,9 @@ Three independent routes to the same stationary probabilities:
 * `mlq` — multiline-queue weight sums at y = 0.
 
 Supporting machinery lives in `perms`, `poly` and `schubert`; the CLI in
-`ringtasep.cli`, not imported here so that `python -m` runs it cleanly.
+`ringtasep.cli`.  Importing the package loads no submodule; import the
+ones you use, e.g. `from ringtasep import chain`.
 """
-
-from . import chain, formulas, mlq, perms, poly, schubert  # noqa: F401
 
 __all__ = ["chain", "formulas", "mlq", "perms", "poly", "schubert"]
 __version__ = "0.1.0"

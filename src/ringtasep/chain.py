@@ -13,7 +13,8 @@ polynomials by exact symbolic balance substitution.
 
 One exact kernel serves both rings, the ints and Z[x, y]: fraction-free
 (Bareiss) elimination to row-echelon form, then back-substitution by
-Cramer's rule, in which every division is exact.
+Cramer's rule, in which every division is exact.  Both rings read the
+chain's edge rates from one table of the n(n-1)/2 pair rates.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ class RateParams:
         return cls(xvals, (Fraction(0),) * len(xvals))
 
     def all_rates_positive(self) -> bool:
-        return all(transition_rate(i, j, self.n, self) > 0
-                   for i, j in _weight_pairs(self.n))
+        return all(r > 0 for r in _pair_rates(self.xvals, self.yvals).values())
 
 
 def transition_rate(i: int, j: int, n: int, params: RateParams) -> Fraction:
@@ -68,16 +68,18 @@ def transition_rate(i: int, j: int, n: int, params: RateParams) -> Fraction:
     return Fraction(0)
 
 
-def _weight_pairs(n: int):
-    """Every pair of weights i < j: the pairs with a nonzero rate."""
-    return itertools.combinations(range(1, n + 1), 2)
+def _pair_rates(x, y) -> dict:
+    """(i, j) -> the rate x_i - y_{n+1-j} of every weight pair i < j, the
+    pairs with a nonzero rate, in the ring of x and y (Fractions or Polys)."""
+    n = len(x)
+    return {(i, j): x[i - 1] - y[n - j]
+            for i, j in itertools.combinations(range(1, n + 1), 2)}
 
 
-def rate_polynomial(i: int, j: int, n: int) -> Poly:
-    """The same rate as an element of Z[x, y]."""
-    if i < j:
-        return Poly.x(n, i) - Poly.y(n, n + 1 - j)
-    return Poly.zero(n)
+def _poly_pair_rates(n: int) -> dict:
+    """The pair rates as elements of Z[x, y]."""
+    ks = range(1, n + 1)
+    return _pair_rates([Poly.x(n, k) for k in ks], [Poly.y(n, k) for k in ks])
 
 
 def swap_moves(w: Perm):
@@ -92,10 +94,16 @@ def swap_moves(w: Perm):
             yield p, tuple(t)
 
 
+def _edges(states, n: int, rate: dict) -> dict:
+    """Every edge (u, t) out of the given states -> its rate, read from the
+    pair table `rate` by the weights that swap.  No edge repeats."""
+    return {(u, t): rate[u[p], u[(p + 1) % n]]
+            for u in states for p, t in swap_moves(u)}
+
+
 @dataclass
 class ChainInstance:
     n: int
-    params: RateParams
     states: list  # all n! permutations, lexicographic
     rates: dict   # (state, state) -> positive Fraction
 
@@ -106,13 +114,8 @@ def build_chain(n: int, params: RateParams) -> ChainInstance:
     if params.n != n:
         raise ValueError("params size mismatch")
     states = list(perms.iter_perms(n))
-    rates: dict = {}
-    for w in states:
-        for p, t in swap_moves(w):
-            q = (p + 1) % n
-            r = transition_rate(w[p], w[q], n, params)
-            rates[(w, t)] = rates.get((w, t), Fraction(0)) + r
-    return ChainInstance(n, params, states, rates)
+    rates = _edges(states, n, _pair_rates(params.xvals, params.yvals))
+    return ChainInstance(n, states, rates)
 
 
 def _rotate_to_one(w: Perm) -> Perm:
@@ -137,9 +140,8 @@ def stationary(chain: ChainInstance) -> list:
             i, j = sorted(a for a, b in zip(u, v) if a != b)
             raise ValueError(f"transition rate x{i} - y{n + 1 - j} is not "
                              "strictly positive")
-    idx = {rep: k for k, rep in enumerate(s for s in states if s[0] == 1)}
-    A = [_integer_row(row) for row in _lumped(rates, idx, 0)]
-    vec = _integer_row(_null_vector(A))
+    A, idx = _lumped(rates, n, 0)
+    vec = _integer_row(_null_vector([_integer_row(row) for row in A]))
     full = {s: vec[idx[_rotate_to_one(s)]] for s in states}
     total = sum(full.values())
     if total == 0:
@@ -166,11 +168,12 @@ def _residuals(psi: dict, rates: dict) -> dict:
     return res
 
 
-def _lumped(rates: dict, idx: dict, zero) -> list:
-    """The balance matrix of the rotation classes: columns are the
-    representatives w_1 = 1 (numbered by idx), and row v holds the balance
-    equation at v, sum_{u->v} rate(u->v) * pi[rot(u)] - pi_v * outflow(v).
-    Entries are sums of rates, starting from the ring's zero."""
+def _lumped(rates: dict, n: int, zero) -> tuple[list, dict]:
+    """The balance matrix of the rotation classes over the ring of `zero`,
+    and idx, its columns' representatives w_1 = 1.  Row v holds the balance
+    equation at v, sum_{u->v} rate(u->v) * pi[rot(u)] - pi_v * outflow(v)."""
+    idx = {(1,) + rest: k for k, rest
+           in enumerate(itertools.permutations(range(2, n + 1)))}
     m = len(idx)
     A = [[zero] * m for _ in range(m)]
     for (u, v), r in rates.items():
@@ -178,7 +181,7 @@ def _lumped(rates: dict, idx: dict, zero) -> list:
             A[idx[v]][idx[_rotate_to_one(u)]] += r
         if u[0] == 1:
             A[idx[u]][idx[u]] -= r
-    return A
+    return A, idx
 
 
 def _integer_row(row: list) -> list:
@@ -195,25 +198,30 @@ def _integer_row(row: list) -> list:
 def _echelon(A: list) -> list:
     """Bring the matrix A over the ints or Z[x, y] to row-echelon form in
     place by fraction-free (Bareiss) elimination, skipping columns with no
-    pivot, and return the pivot columns.  Every entry stays a minor of the
-    input, so each division is exact."""
+    pivot, and return the pivot columns.  Each row is divided by the pivot
+    that last updated it, and a row that skipped steps is scaled up to date
+    when it becomes the pivot row, so every pivot row holds minors of the
+    input and each division is exact (Sylvester's identity; Bareiss 1968)."""
     pivots: list[int] = []
     prev = 1
+    last = [1] * len(A)
     for col in range(len(A[0])):
         k = len(pivots)
         piv = next((r for r in range(k, len(A)) if A[r][col]), None)
         if piv is None:
             continue
         A[k], A[piv] = A[piv], A[k]
+        last[k], last[piv] = last[piv], last[k]
+        if last[k] != prev:
+            A[k][col:] = [a * prev // last[k] for a in A[k][col:]]
         top = A[k][col:]
         pc = top[0]
         for r in range(k + 1, len(A)):
             f = A[r][col]
             if f:
-                A[r][col:] = [(a * pc - f * b) // prev
+                A[r][col:] = [(a * pc - f * b) // last[r]
                               for a, b in zip(A[r][col:], top)]
-            elif pc != prev:
-                A[r][col:] = [a * pc // prev for a in A[r][col:]]
+                last[r] = pc
         pivots.append(col)
         prev = pc
     return pivots
@@ -232,14 +240,13 @@ def _null_vector(A: list) -> list:
         raise ValueError("chain is reducible or not rotation invariant: "
                          f"lumped null space dimension {m - len(pivots)}")
     free = min(set(range(m)) - set(pivots))
-    k = len(pivots)
-    d = A[k - 1][pivots[-1]] if pivots else A[0][0] ** 0  # the ring's one
+    d = A[m - 2][pivots[-1]] if pivots else A[0][0] ** 0  # the ring's one
     vec = [-d] * m
-    for r in range(k - 1, -1, -1):
+    for r in reversed(range(m - 1)):
         row = A[r]
         s = d * row[free]
-        for j in range(r + 1, k):
-            s = s - row[pivots[j]] * vec[pivots[j]]
+        for p in pivots[r + 1:]:
+            s = s - row[p] * vec[p]
         vec[pivots[r]] = s // row[pivots[r]]
     return vec
 
@@ -247,8 +254,8 @@ def _null_vector(A: list) -> list:
 def normalization_polynomial(n: int) -> Poly:
     """The identity-state target: product of (x_i - y_{n+1-j})^(j-i-1)
     over i < j."""
-    return math.prod((rate_polynomial(i, j, n) ** (j - i - 1)
-                      for i, j in _weight_pairs(n)), start=Poly.const(n, 1))
+    return math.prod((r ** (j - i - 1) for (i, j), r
+                      in _poly_pair_rates(n).items()), start=Poly.const(n, 1))
 
 
 def renormalize(pi: list, n: int, params: RateParams) -> list:
@@ -256,8 +263,8 @@ def renormalize(pi: list, n: int, params: RateParams) -> list:
     product evaluated at params."""
     if any(p <= 0 for p in pi):
         raise ValueError("pi must be strictly positive")
-    target = math.prod(transition_rate(i, j, n, params) ** (j - i - 1)
-                       for i, j in _weight_pairs(n))
+    target = math.prod(r ** (j - i - 1) for (i, j), r
+                       in _pair_rates(params.xvals, params.yvals).items())
     scale = target / pi[0]  # identity state is first in lexicographic order
     return [p * scale for p in pi]
 
@@ -298,13 +305,12 @@ def symbolic_stationary(n: int) -> dict:
         raise ValueError("n must be at least 2")
     if n > _SYMBOLIC_MAX_N:
         raise ValueError(f"symbolic solve capped at n={_SYMBOLIC_MAX_N}")
-    cached = _symbolic_cache.get(n)
-    if cached is not None:
-        return cached
+    if n in _symbolic_cache:
+        return _symbolic_cache[n]
 
     states = list(perms.iter_perms(n))
-    idx = {rep: k for k, rep in enumerate(s for s in states if s[0] == 1)}
-    v = _null_vector(_lumped(_polynomial_rates(states, n), idx, Poly.zero(n)))
+    A, idx = _lumped(_edges(states, n, _poly_pair_rates(n)), n, Poly.zero(n))
+    v = _null_vector(A)
     norm = normalization_polynomial(n)
     try:  # v[0] is the identity state's entry
         psi = {s: norm * v[k] // v[0] for s, k in idx.items()}
@@ -323,26 +329,20 @@ def symbolic_stationary(n: int) -> dict:
     return out
 
 
-def _polynomial_rates(states, n: int) -> dict:
-    """Every edge (u, v) out of the given states -> its rate in Z[x, y]."""
-    return {(u, t): rate_polynomial(u[p], u[(p + 1) % n], n)
-            for u in states for p, t in swap_moves(u)}
-
-
 def global_balance_residuals(psis: dict, n: int) -> dict:
     """Symbolic balance check: for each state v, inflow minus outflow of
     the polynomial stationary vector.  All residuals must be zero."""
-    return _residuals(psis, _polynomial_rates(psis, n))
+    return _residuals(psis, _edges(psis, n, _poly_pair_rates(n)))
 
 
 # -- randomized identity testing -------------------------------------------
 
 def sample_rational_params(n: int, rng: random.Random) -> RateParams:
-    """Random rational parameter point with every rate strictly positive:
-    y in [0, 1), x in [1, 2]."""
+    """Random rational parameter point over one denominator B = 2^40, which
+    keeps the integer-scaled rates short: x = 1 + a/B and y = b/B, each a
+    and b uniform in [0, B), so every rate is strictly positive."""
     def frac(lo_shift):
-        den = rng.randint(2, 10 ** 6)
-        return lo_shift + Fraction(rng.randint(0, den - 1), den)
+        return lo_shift + Fraction(rng.randrange(2 ** 40), 2 ** 40)
     return RateParams([frac(1) for _ in range(n)],
                       [frac(0) for _ in range(n)])
 
@@ -353,12 +353,11 @@ def sample_points(n: int, trials: int,
     by `sample_rational_params` from one generator seeded with `seed`.
 
     Failure bound: each coordinate from `sample_rational_params` takes any
-    one value with probability at most
-    eps = (H_{10^6} - 1) / (10^6 - 1) < 1.34e-5, H_k the k-th harmonic
-    number.  By the generalized Schwartz-Zippel lemma a nonzero difference
-    of degree at most C(n, 3) vanishes at one point with probability at
-    most C(n, 3) * eps, so a wrong identity survives all `trials` points
-    with probability at most (C(n, 3) * eps)^trials.
+    one value with probability at most eps = 2^-40 < 9.1e-13.  By the
+    generalized Schwartz-Zippel lemma a nonzero difference of degree at
+    most C(n, 3) vanishes at one point with probability at most
+    C(n, 3) * eps, so a wrong identity survives all `trials` points with
+    probability at most (C(n, 3) * eps)^trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

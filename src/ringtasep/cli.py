@@ -105,13 +105,18 @@ def _load_params(args, n: int) -> RateParams:
             name = name.strip()
             if not name.startswith("x"):
                 raise _usage(f"--eval assigns x variables only: {item!r}")
-            idx = int(name[1:])
+            try:
+                idx = int(name[1:])
+            except ValueError:
+                raise _usage(f"bad x index in {item!r}")
             if not 1 <= idx <= n:
                 raise _usage(f"x index out of range in {item!r}")
             try:
                 xvals[idx - 1] = Fraction(val)
             except ZeroDivisionError:
                 raise _usage(f"zero denominator in {item!r}")
+            except ValueError:
+                raise _usage(f"bad value in {item!r}")
             seen.add(idx)
     if args.y_zero:
         missing = [i for i in range(1, n + 1) if i not in seen]
@@ -258,7 +263,7 @@ def _suite_main(report: RunReport, n: int, seed: int) -> None:
                           got == psis[w], psis[w].to_text(), got.to_text())
     else:
         # a wrong formula survives with probability at most
-        # (C(n, 3) * eps)^5, 4.3e-20 at n = 5 (see chain.sample_points)
+        # (C(n, 3) * eps)^5, < 6.3e-56 at n = 5 (see chain.sample_points)
         points = chain.sample_points(n, trials=5, seed=seed)
         for w, ok in chain.compare_with_solver(formulas.main_formula, states,
                                                points):
@@ -284,7 +289,7 @@ def _suite_mlq(report: RunReport, n: int, seed: int) -> None:
     queue_psis = mlq.all_psi_via_mlq(n)
     # the queue sums have no y: compare at the sampled x with y = 0; a wrong
     # queue sum survives with probability at most (C(n, 3) * eps)^3,
-    # 1.9e-11 at n = 6 (see chain.sample_points)
+    # < 6.1e-33 at n = 6 (see chain.sample_points)
     points = [RateParams.y_zero(p.xvals)
               for p in chain.sample_points(n, trials=3, seed=seed)]
     for w, ok in chain.compare_with_solver(queue_psis.__getitem__,

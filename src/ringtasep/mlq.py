@@ -68,9 +68,6 @@ class ProjectedQueue:
     classes: tuple   # per row, a dict from grid index to class
     covered: tuple   # ((row, index, class), ...) per covered vacancy
 
-    def class_at(self, row: int, index: int) -> int | None:
-        return self.classes[row - 1].get(index)
-
     def to_text(self) -> str:
         """One line per row, each ball drawn as its class and each vacancy
         as '.', leftmost character = column n."""

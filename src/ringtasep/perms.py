@@ -140,15 +140,8 @@ def enumerate_states(n: int, k: int | None = None) -> list[Perm]:
     descent count), in lexicographic order."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for rest in itertools.permutations(range(2, n + 1)):
-        w = (1,) + rest
-        if not is_evil_avoiding(w):
-            continue
-        if k is not None and inv_descent_count(w) != k:
-            continue
-        out.append(w)
-    return out
+    return sorted(w for w in evil_avoiders(n)
+                  if w[0] == 1 and (k is None or inv_descent_count(w) == k))
 
 
 def iter_perms(n: int) -> Iterator[Perm]:

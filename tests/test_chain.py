@@ -37,6 +37,22 @@ def full_stationary(c):
     return [Fraction(v, total) for v in vec]
 
 
+def fraction_det(M):
+    """The determinant up to sign, by Gaussian elimination over Q."""
+    M = [[Fraction(a) for a in row] for row in M]
+    det = Fraction(1)
+    for c in range(len(M)):
+        p = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        M[c], M[p] = M[p], M[c]
+        det *= M[c][c]
+        for r in range(c + 1, len(M)):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return det
+
+
 class TestRates:
     def test_known_edges(self):
         p = RateParams([Fraction(2), Fraction(3), Fraction(5)],
@@ -116,7 +132,7 @@ class TestStationary:
         assert_balanced(c, chain.stationary(c))
 
     def test_n5_rational_point_certified(self):
-        # y = 0 with x denominators up to 10^6, as sample_points draws them
+        # y = 0 with x over the denominator 2^40, as sample_points draws them
         xv = chain.sample_rational_params(5, random.Random(7)).xvals
         c = chain.build_chain(5, RateParams.y_zero(xv))
         pi = chain.stationary(c)
@@ -166,6 +182,20 @@ class TestKernel:
     def test_echelon_skips_empty_column(self):
         A = [[0, 2, 4], [0, 1, 3]]
         assert chain._echelon(A) == [1, 2]
+
+    def test_rows_that_skip_a_step(self):
+        # rows 1 and 2 have a zero in column 0, so they skip the first step;
+        # then row 1 becomes the pivot row and row 2 is updated, each up to
+        # date by its own last pivot, 1, not the current one, 3.  Row 3 is
+        # 2 * row 2 - row 0, so the null space is one-dimensional.
+        A = [[3, 1, 4, 5], [0, 4, -3, 4], [0, 2, 3, 3], [-3, 3, 2, 1]]
+        E = [row[:] for row in A]
+        assert chain._echelon(E) == [0, 1, 2]
+        det = fraction_det([row[:3] for row in A[:3]])
+        assert abs(E[2][2]) == abs(det) == 54
+        v = chain._null_vector([row[:] for row in A])
+        assert any(v)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in A)
 
 
 class TestSymbolic:
@@ -246,3 +276,11 @@ class TestIdentityCheck:
         rng = random.Random(5)
         for _ in range(20):
             assert chain.sample_rational_params(4, rng).all_rates_positive()
+
+    def test_sampler_one_denominator(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            p = chain.sample_rational_params(5, rng)
+            assert all(2 ** 40 % v.denominator == 0
+                       for v in p.xvals + p.yvals)
+            assert all(x > y for x, y in zip(p.xvals, p.yvals))

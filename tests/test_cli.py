@@ -278,6 +278,13 @@ class TestUsageErrors:
         assert err.strip()
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("item", ["xa=1", "x=1", "x1=a"])
+    def test_bad_eval_item_named(self, capsys, item):
+        code, _, err = run(capsys, "psi", "--n", "2", "--y-zero",
+                           "--eval", item)
+        assert code == 2
+        assert repr(item) in err
+
     def test_zero_denominator_in_params_file(self, capsys, tmp_path):
         f = tmp_path / "params.txt"
         f.write_text("1/0\n1\n1\n1\n")
