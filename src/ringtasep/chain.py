@@ -141,7 +141,7 @@ def stationary(chain: ChainInstance) -> list:
             raise ValueError(f"transition rate x{i} - y{n + 1 - j} is not "
                              "strictly positive")
     A, idx = _lumped(rates, n, 0)
-    vec = _integer_row(_null_vector([_integer_row(row) for row in A]))
+    vec = _null_vector(A)
     full = {s: vec[idx[_rotate_to_one(s)]] for s in states}
     total = sum(full.values())
     if total == 0:
@@ -186,9 +186,9 @@ def _lumped(rates: dict, n: int, zero) -> tuple[list, dict]:
 
 def _integer_row(row: list) -> list:
     """The primitive integer row on the ray of a rational row: the row times
-    the lcm of its denominators, divided by the gcd of the result.  It has
-    the same solutions, and as a vector it differs by a positive scale;
-    keeping rows primitive keeps the elimination's minors short."""
+    the lcm of its denominators, divided by the gcd of the result.  As a
+    vector it differs by a positive scale, so scaled rates keep their
+    chain's stationary vector."""
     scale = math.lcm(*(a.denominator for a in row))
     ints = [a.numerator * (scale // a.denominator) for a in row]
     g = math.gcd(*ints) or 1

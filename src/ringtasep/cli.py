@@ -272,11 +272,7 @@ def _suite_main(report: RunReport, n: int, seed: int) -> None:
 
 
 def _suite_eta(report: RunReport, n: int, seed: int) -> None:
-    if n <= 4:
-        psis = {w: p.substitute_y_zero()
-                for w, p in chain.symbolic_stationary(n).items()}
-    else:
-        psis = mlq.all_psi_via_mlq(n)
+    psis = mlq.all_psi_via_mlq(n)
     for w in sorted(psis):
         content, _ = psis[w].monomial_content()
         got = content[:n]

@@ -77,39 +77,35 @@ class ProjectedQueue:
 
 
 def bully_project(q: MultilineQueue) -> ProjectedQueue:
-    """Assign classes top-down and record vacancy coverage.
+    """Assign classes top-down and record vacancy coverage, one row at a
+    time from the row above and its own balls.
 
     Row-1 balls are class 1.  Within a row, balls are processed in
     increasing class order; each matches the unmatched ball directly below
     if any, else the first unmatched ball to the right (wrapping).  A
-    vacancy passed over by the matching path of a class-i ball, and by no
-    smaller class, is recorded as i-covered.
+    vacancy is recorded as i-covered by the first matching path to pass
+    it, which is the path of the smallest class i that does.
     """
     n = q.n
     classes: list[dict[int, int]] = [dict.fromkeys(q.rows[0], 1)]
-    covered: dict[tuple[int, int], int] = {}
+    covered: list[tuple[int, int, int]] = []
     for r in range(q.num_rows - 1):
-        below = set(q.rows[r + 1])
-        unmatched = set(below)
-        above, cur = classes[r], {}
+        above, passed = classes[r], {}
+        unmatched = set(q.rows[r + 1])
+        # balls below start as new; positions missing from cur are vacancies
+        cur = dict.fromkeys(q.rows[r + 1], r + 2)
         for p in sorted(q.rows[r], key=lambda p: (above[p], p)):
             cls = above[p]
-            pos = p
-            while pos not in unmatched:
-                if pos not in below:
-                    key = (r + 1, pos)
-                    if key not in covered or covered[key] > cls:
-                        covered[key] = cls
-                pos = (pos + 1) % n
-            unmatched.remove(pos)
-            cur[pos] = cls
-        for p in q.rows[r + 1]:
-            cur.setdefault(p, r + 2)
+            while p not in unmatched:
+                if p not in cur:
+                    passed.setdefault(p, cls)
+                p = (p + 1) % n
+            unmatched.remove(p)
+            cur[p] = cls
         classes.append(cur)
-    return ProjectedQueue(
-        q, tuple(classes),
-        tuple(sorted((row + 1, idx, cls)
-                     for (row, idx), cls in covered.items())))
+        for p in sorted(passed):
+            covered.append((r + 2, p, passed[p]))
+    return ProjectedQueue(q, tuple(classes), tuple(covered))
 
 
 def queue_type(pq: ProjectedQueue) -> tuple:

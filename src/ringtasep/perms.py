@@ -27,7 +27,11 @@ def check_perm(w) -> Perm:
 
 def parse_perm(text: str) -> Perm:
     """Parse comma-separated one-line notation."""
-    return check_perm(int(t) for t in text.split(","))
+    try:
+        letters = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"not comma-separated integers: {text!r}") from None
+    return check_perm(letters)
 
 
 def perm_str(w: Perm) -> str:
@@ -84,41 +88,29 @@ def is_valid_code(c) -> bool:
     return all(0 <= ci <= len(c) - i - 1 for i, ci in enumerate(c))
 
 
-def contains_pattern(w: Perm, p: Perm) -> bool:
-    """True iff some subsequence of w is order-isomorphic to p."""
-    k = len(p)
-    if k > len(w):
-        return False
-
-    def extend(chosen: list, start: int) -> bool:
-        t = len(chosen)
-        if t == k:
-            return True
-        for pos in range(start, len(w) - (k - t - 1)):
-            v = w[pos]
-            # partial order-isomorphism with p[:t+1]
-            if all((chosen[s] < v) == (p[s] < p[t]) for s in range(t)):
-                chosen.append(v)
-                if extend(chosen, pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend([], 0)
-
-
-def _spells_evil(w: Perm, subsets) -> bool:
-    """True iff some 4-subset of positions of w spells an evil pattern."""
+def _spells(w: Perm, subsets, patterns) -> bool:
+    """True iff the letters of w at some subset of positions (a tuple of
+    increasing indices), standardized to 1..k, form one of the patterns.
+    Each subset's letters are sorted once."""
     for idx in subsets:
         vals = [w[i] for i in idx]
-        if tuple(sorted(vals).index(v) + 1 for v in vals) in EVIL_PATTERNS:
+        rank = {v: r for r, v in enumerate(sorted(vals), 1)}
+        if tuple(map(rank.__getitem__, vals)) in patterns:
             return True
     return False
 
 
+def contains_pattern(w: Perm, p: Perm) -> bool:
+    """True iff some subsequence of w is order-isomorphic to the
+    permutation p."""
+    return _spells(w, itertools.combinations(range(len(w)), len(p)),
+                   {tuple(p)})
+
+
 def is_evil_avoiding(w: Perm) -> bool:
     """True iff w avoids 2413, 3214, 4132 and 4213."""
-    return not _spells_evil(w, itertools.combinations(range(len(w)), 4))
+    return not _spells(w, itertools.combinations(range(len(w)), 4),
+                       EVIL_PATTERNS)
 
 
 def inv_descent_count(w: Perm) -> int:
@@ -160,7 +152,7 @@ def evil_avoiders(n: int) -> list[Perm]:
         through = [[q for q in quads if p in q] for p in range(m)]
         level = [w for u in level for p in range(m)
                  for w in [u[:p] + (m,) + u[p:]]
-                 if not _spells_evil(w, through[p])]
+                 if not _spells(w, through[p], EVIL_PATTERNS)]
     return level
 
 

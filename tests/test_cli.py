@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -235,6 +236,15 @@ class TestVerify:
         cases = json.loads(out)["cases"]
         assert [c["seconds"] for c in cases] == [0.25, 0.75, 1.25, 1.75]
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_eta_suite_reads_queue_sums(self, capsys, monkeypatch, n):
+        def refuse(*_):
+            raise AssertionError("the eta suite must not solve symbolically")
+        monkeypatch.setattr(chain, "symbolic_stationary", refuse)
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--suite", "eta")
+        assert code == 0
+        assert out.count("PASS") == math.factorial(n)
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n_is_usage_error(self, capsys, n):
         code, out, err = run(capsys, "verify", "--n", n, "--suite", "counts")
@@ -284,6 +294,17 @@ class TestUsageErrors:
                            "--eval", item)
         assert code == 2
         assert repr(item) in err
+
+    @pytest.mark.parametrize("argv,text", [
+        (("formula", "--state", "a"), "a"),
+        (("schubert", "--perm", ""), ""),
+        (("mlq", "--state", "1,,2"), "1,,2"),
+    ])
+    def test_bad_perm_text_named(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"not comma-separated integers: {text!r}\n"
 
     def test_zero_denominator_in_params_file(self, capsys, tmp_path):
         f = tmp_path / "params.txt"

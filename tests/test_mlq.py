@@ -59,6 +59,14 @@ class TestProjection:
         want = tuple(sum(vac[i:]) for i in range(1, n - 1)) + (0,)
         assert mlq.queue_weight(pq) == want
 
+    def test_smallest_class_covers_shared_vacancy(self):
+        # the paths of classes 1 and 2 both pass row 3's vacancy at grid
+        # index 1; the class-1 path passes it first and covers it
+        q = mlq.MultilineQueue.from_text("o....\noo...\n..ooo\noooo.")
+        pq = mlq.bully_project(q)
+        assert pq.covered == ((3, 0, 1), (3, 1, 1), (4, 4, 3))
+        assert mlq.queue_type(pq) == (5, 2, 1, 4, 3)
+
     def test_class_grid_text(self):
         # each ball drawn as its class, leftmost character = column n
         pq = mlq.bully_project(example_queue())

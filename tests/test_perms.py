@@ -68,6 +68,15 @@ class TestPatterns:
             for sub in itertools.combinations(w, 4))
         assert perms.contains_pattern(w, p) == brute
 
+    def test_agrees_with_value_subsequences_in_s5(self):
+        # patterns longer than w included: S_5 holds no pattern of length 6
+        for w in perms.iter_perms(5):
+            for k in range(7):
+                spelled = {tuple(sorted(sub).index(v) + 1 for v in sub)
+                           for sub in itertools.combinations(w, k)}
+                for p in perms.iter_perms(k):
+                    assert perms.contains_pattern(w, p) == (p in spelled)
+
     def test_evil_avoiding(self):
         assert perms.is_evil_avoiding((1, 5, 4, 3, 2))
         assert not perms.is_evil_avoiding((1, 4, 3, 2, 5))
