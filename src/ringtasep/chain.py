@@ -63,9 +63,9 @@ def transition_rate(i: int, j: int, n: int, params: RateParams) -> Fraction:
     particle on the right: x_i - y_{n+1-j} when i < j, else 0."""
     if not (1 <= i <= n and 1 <= j <= n and i != j):
         raise ValueError(f"bad weights ({i}, {j}) for n={n}")
-    if i < j:
-        return params.xvals[i - 1] - params.yvals[n - j]
-    return Fraction(0)
+    if params.n != n:
+        raise ValueError("params size mismatch")
+    return _pair_rates(params.xvals, params.yvals).get((i, j), Fraction(0))
 
 
 def _pair_rates(x, y) -> dict:

@@ -3,7 +3,8 @@ queue sums, Schubert expansion, enumeration, and verification suites.
 
 All tables print states in lexicographic order and polynomials in canonical
 term order, so output is byte-identical across runs with the same argv and
-seed.
+seed.  A ValueError is bad input: one stderr line, exit code 2.  An
+AssertionError is a failed internal check: exit code 1.
 """
 
 from __future__ import annotations
@@ -52,18 +53,12 @@ class RunReport:
 
     def emit(self, out, as_json: bool, timings: bool) -> None:
         if as_json:
-            payload = {
-                "schema": JSON_SCHEMA,
-                "suite": self.suite,
-                "ok": self.ok,
-                "cases": [
-                    {"name": c.name, "ok": c.ok,
-                     **({"expected": c.expected, "actual": c.actual}
-                        if not c.ok else {}),
-                     **({"seconds": round(c.seconds, 3)} if timings else {})}
-                    for c in self.cases],
-            }
-            print(json.dumps(payload, indent=2), file=out)
+            _print_json(out, suite=self.suite, ok=self.ok, cases=[
+                {"name": c.name, "ok": c.ok,
+                 **({"expected": c.expected, "actual": c.actual}
+                    if not c.ok else {}),
+                 **({"seconds": round(c.seconds, 3)} if timings else {})}
+                for c in self.cases])
             return
         for c in self.cases:
             line = f"{'PASS' if c.ok else 'FAIL'} {c.name}"
@@ -77,25 +72,31 @@ class RunReport:
         print(f"{self.suite}: {len(self.cases)} cases, {status}", file=out)
 
 
-def _usage(msg: str) -> "SystemExit":
-    print(msg, file=sys.stderr)
-    return SystemExit(2)
+def _print_json(out, **fields) -> None:
+    print(json.dumps({"schema": JSON_SCHEMA, **fields}, indent=2), file=out)
 
 
 # -- parameter handling ----------------------------------------------------
+
+def _rational(text: str, item: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {item!r}")
+    except ValueError:
+        raise ValueError(f"bad value in {item!r}")
+
 
 def _load_params(args, n: int) -> RateParams:
     if args.params:
         try:
             with open(args.params) as fh:
-                vals = [Fraction(ln) for ln in fh if ln.strip()]
+                vals = [_rational(s, s) for ln in fh if (s := ln.strip())]
         except OSError as exc:
-            raise _usage(f"cannot read params file: {exc}")
-        except ZeroDivisionError:
-            raise _usage("params file holds a zero denominator")
+            raise ValueError(f"cannot read params file: {exc}")
         if len(vals) != 2 * n:
-            raise _usage(f"params file must hold {2 * n} rationals "
-                         f"(x block then y block), got {len(vals)}")
+            raise ValueError(f"params file must hold {2 * n} rationals "
+                             f"(x block then y block), got {len(vals)}")
         return RateParams(vals[:n], vals[n:])
     xvals = [Fraction(0)] * n
     seen = set()
@@ -104,26 +105,21 @@ def _load_params(args, n: int) -> RateParams:
             name, _, val = item.partition("=")
             name = name.strip()
             if not name.startswith("x"):
-                raise _usage(f"--eval assigns x variables only: {item!r}")
+                raise ValueError(f"--eval assigns x variables only: {item!r}")
             try:
                 idx = int(name[1:])
             except ValueError:
-                raise _usage(f"bad x index in {item!r}")
+                raise ValueError(f"bad x index in {item!r}")
             if not 1 <= idx <= n:
-                raise _usage(f"x index out of range in {item!r}")
-            try:
-                xvals[idx - 1] = Fraction(val)
-            except ZeroDivisionError:
-                raise _usage(f"zero denominator in {item!r}")
-            except ValueError:
-                raise _usage(f"bad value in {item!r}")
+                raise ValueError(f"x index out of range in {item!r}")
+            xvals[idx - 1] = _rational(val, item)
             seen.add(idx)
     if args.y_zero:
         missing = [i for i in range(1, n + 1) if i not in seen]
         if missing:
-            raise _usage(f"--eval must assign x{missing[0]}")
+            raise ValueError(f"--eval must assign x{missing[0]}")
         return RateParams.y_zero(xvals)
-    raise _usage("provide --params FILE or --y-zero with --eval")
+    raise ValueError("provide --params FILE or --y-zero with --eval")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -134,8 +130,7 @@ def cmd_psi(args) -> int:
     psi = chain.solve_renormalized(n, params)
     rows = [(perms.perm_str(w), str(psi[w])) for w in sorted(psi)]
     if args.json:
-        print(json.dumps({"schema": JSON_SCHEMA, "n": n,
-                          "psi": {s: v for s, v in rows}}, indent=2))
+        _print_json(sys.stdout, n=n, psi=dict(rows))
     else:
         for s, v in rows:
             print(f"{s}\t{v}")
@@ -145,10 +140,7 @@ def cmd_psi(args) -> int:
 def cmd_formula(args) -> int:
     w = perms.parse_perm(args.state)
     n = len(w)
-    try:
-        lams = formulas.psi_partitions(w)
-    except formulas.FormulaDomainError as exc:
-        raise _usage(str(exc))
+    lams = formulas.psi_partitions(w)
     gvecs = [formulas.g_vector(n, lam) for lam in lams]
     labels = formulas.factor_permutations(w)
     if args.y_zero:
@@ -159,15 +151,12 @@ def cmd_formula(args) -> int:
         prefactor = formulas.xy_fact(w)
         expanded = formulas.main_formula(w)
     if args.json:
-        print(json.dumps({
-            "schema": JSON_SCHEMA,
-            "state": perms.perm_str(w),
-            "partitions": [list(lam) for lam in lams],
-            "g_vectors": [list(g) for g in gvecs],
-            "factors": [perms.perm_str(u) for u in labels],
-            "prefactor": prefactor.to_text(),
-            "expanded": expanded.to_json_terms(),
-        }, indent=2))
+        _print_json(sys.stdout, state=perms.perm_str(w),
+                    partitions=[list(lam) for lam in lams],
+                    g_vectors=[list(g) for g in gvecs],
+                    factors=[perms.perm_str(u) for u in labels],
+                    prefactor=prefactor.to_text(),
+                    expanded=expanded.to_json_terms())
         return 0
     print(f"state:      {perms.perm_str(w)}")
     print(f"partitions: {' '.join(str(tuple(lam)) for lam in lams) or '()'}")
@@ -181,18 +170,16 @@ def cmd_formula(args) -> int:
 
 def cmd_count(args) -> int:
     if args.max_n < 1:
-        raise _usage(f"--max-n must be at least 1, got {args.max_n}")
-    counts = []
-    for n in range(1, args.max_n + 1):
-        got = perms.count_evil_avoiding(n)
-        want = perms.count_evil_avoiding_recurrence(n)
-        closed = perms.count_evil_avoiding_closed_form(n)
-        if got != want or got != closed:
-            raise SystemExit(f"count mismatch at n={n}: filter {got}, "
-                             f"recurrence {want}, closed form {closed}")
-        counts.append(got)
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    report = RunReport(suite="counts")
+    _suite_counts(report, args.max_n, args.seed)
+    for c in report.cases:
+        if not c.ok:
+            raise AssertionError(f"{c.name}: expected {c.expected}, "
+                                 f"got {c.actual}")
+    counts = [int(c.expected) for c in report.cases[::2]]  # 2 cases per n
     if args.json:
-        print(json.dumps({"schema": JSON_SCHEMA, "counts": counts}, indent=2))
+        _print_json(sys.stdout, counts=counts)
     else:
         print(" ".join(str(c) for c in counts))
     return 0
@@ -206,10 +193,9 @@ def cmd_mlq(args) -> int:
                   Poly.monomial(n, mlq.queue_weight(pq)).to_text())
                  for pq in mlq.queues_of_type(w)]
         if args.json:
-            print(json.dumps({"schema": JSON_SCHEMA,
-                              "state": perms.perm_str(w),
-                              "queues": [{"grid": g, "weight": wt}
-                                         for g, wt in lines]}, indent=2))
+            _print_json(sys.stdout, state=perms.perm_str(w),
+                        queues=[{"grid": g, "weight": wt}
+                                for g, wt in lines])
         else:
             for g, wt in lines:
                 print(g)
@@ -219,9 +205,8 @@ def cmd_mlq(args) -> int:
     else:
         total = mlq.psi_via_mlq(w)
         if args.json:
-            print(json.dumps({"schema": JSON_SCHEMA,
-                              "state": perms.perm_str(w),
-                              "psi": total.to_json_terms()}, indent=2))
+            _print_json(sys.stdout, state=perms.perm_str(w),
+                        psi=total.to_json_terms())
         else:
             print(total.to_text())
     return 0
@@ -232,9 +217,8 @@ def cmd_schubert(args) -> int:
     p = (schubert.single_schubert(w) if args.single
          else schubert.double_schubert(w))
     if args.json:
-        print(json.dumps({"schema": JSON_SCHEMA, "perm": perms.perm_str(w),
-                          "single": bool(args.single),
-                          "poly": p.to_json_terms()}, indent=2))
+        _print_json(sys.stdout, perm=perms.perm_str(w),
+                    single=bool(args.single), poly=p.to_json_terms())
     else:
         print(p.to_text())
     return 0
@@ -253,6 +237,14 @@ def _suite_counts(report: RunReport, n: int, seed: int) -> None:
                           str(got))
 
 
+def _record_points(report: RunReport, label: str, route, states,
+                   points) -> None:
+    """One case per state: route(w) against the chain solve at the points."""
+    for w, ok in chain.compare_with_solver(route, states, points):
+        report.record(label.format(perms.perm_str(w)), ok,
+                      "equal at all points", "ok" if ok else "mismatch")
+
+
 def _suite_main(report: RunReport, n: int, seed: int) -> None:
     states = perms.enumerate_states(n)
     if n <= 4:
@@ -264,11 +256,9 @@ def _suite_main(report: RunReport, n: int, seed: int) -> None:
     else:
         # a wrong formula survives with probability at most
         # (C(n, 3) * eps)^5, < 6.3e-56 at n = 5 (see chain.sample_points)
-        points = chain.sample_points(n, trials=5, seed=seed)
-        for w, ok in chain.compare_with_solver(formulas.main_formula, states,
-                                               points):
-            report.record(f"product formula {perms.perm_str(w)} (5 points)",
-                          ok, "equal at all points", "ok" if ok else "mismatch")
+        _record_points(report, "product formula {} (5 points)",
+                       formulas.main_formula, states,
+                       chain.sample_points(n, trials=5, seed=seed))
 
 
 def _suite_eta(report: RunReport, n: int, seed: int) -> None:
@@ -288,10 +278,8 @@ def _suite_mlq(report: RunReport, n: int, seed: int) -> None:
     # < 6.1e-33 at n = 6 (see chain.sample_points)
     points = [RateParams.y_zero(p.xvals)
               for p in chain.sample_points(n, trials=3, seed=seed)]
-    for w, ok in chain.compare_with_solver(queue_psis.__getitem__,
-                                           sorted(queue_psis), points):
-        report.record(f"queue sum vs solver {perms.perm_str(w)}", ok,
-                      "equal at all points", "ok" if ok else "mismatch")
+    _record_points(report, "queue sum vs solver {}", queue_psis.__getitem__,
+                   sorted(queue_psis), points)
 
 
 def _suite_flags(report: RunReport, n: int, seed: int) -> None:
@@ -313,7 +301,7 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     if args.n < 1:
-        raise _usage(f"--n must be at least 1, got {args.n}")
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     report = RunReport(suite=args.suite)
     SUITES[args.suite](report, args.n, args.seed)
     report.emit(sys.stdout, args.json, args.timings)

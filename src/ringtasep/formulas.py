@@ -5,6 +5,7 @@ the product formulas, and the extractable monomial factor.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import perms, schubert
@@ -63,18 +64,12 @@ def g_vector(n: int, lam) -> tuple:
     if len(lam) > n - 2:
         raise ValueError(f"partition {lam} too long for n={n}")
     v: list[int | None] = [None] * n
-    runs: list[tuple[int, int]] = []
-    for part in lam:
-        if runs and runs[-1][0] == part:
-            runs[-1] = (part, runs[-1][1] + 1)
-        else:
-            runs.append((part, 1))
-    for mu, k in runs:
+    for mu, run in itertools.groupby(lam):
         anchor = n - mu - 1  # 0-indexed position n - mu
         if anchor < 0 or v[anchor] is not None:
             raise ValueError(f"partition {lam} does not fit n={n}")
         v[anchor] = mu
-        remaining = k - 1
+        remaining = len(list(run)) - 1
         pos = anchor - 1
         while remaining and pos >= 0:
             if v[pos] is None:

@@ -221,14 +221,11 @@ class Poly:
         return degs.pop() if len(degs) == 1 else None
 
     def coefficient(self, xexp: Iterable[int], yexp: Iterable[int] = ()) -> int:
-        xe = tuple(xexp)
-        ye = tuple(yexp)
-        xe += (0,) * (self.n - len(xe))
-        ye += (0,) * (self.n - len(ye))
         try:
-            return self.terms.get(_pack(xe + ye, 2 * self.n), 0)
+            key, = Poly.monomial(self.n, xexp, yexp).terms
         except ValueError:  # no term has that exponent
             return 0
+        return self.terms.get(key, 0)
 
     # -- substitutions and operators ---------------------------------------
 

@@ -69,6 +69,12 @@ class TestRates:
         with pytest.raises(ValueError):
             chain.transition_rate(1, 1, 3, params_n3())
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rejects_params_size_mismatch(self, n):
+        p = RateParams([1, 2, 3, 4], [0, 7, 0, 5])
+        with pytest.raises(ValueError, match="params size mismatch"):
+            chain.transition_rate(1, n, n, p)
+
 
 class TestBuildChain:
     def test_n3_edges(self):

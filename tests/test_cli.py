@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ringtasep import chain, cli
+from ringtasep import chain, cli, perms
 from ringtasep.poly import Poly
 
 
@@ -33,6 +33,16 @@ class TestCount:
         payload = json.loads(out)
         assert payload["schema"] == 1
         assert payload["counts"] == [1, 2, 6, 20, 68, 232, 792, 2704]
+
+    def test_mismatch_is_internal_check_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(perms, "count_evil_avoiding_closed_form",
+                            lambda n: 0)
+        code, out, err = run(capsys, "count", "--max-n", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal check failed: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestPsi:
@@ -313,6 +323,35 @@ class TestUsageErrors:
         assert code == 2
         assert "zero denominator" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("abc", "bad value in 'abc'"),
+        ("1/0", "zero denominator in '1/0'"),
+    ])
+    def test_bad_params_file_line_named(self, capsys, tmp_path, text,
+                                        message):
+        f = tmp_path / "params.txt"
+        f.write_text(f"{text}\n1\n1\n1\n")
+        code, out, err = run(capsys, "psi", "--n", "2", "--params", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("psi", "--n", "0", "--y-zero"),
+        ("psi", "--n", "2", "--params", "{missing}"),
+        ("psi", "--n", "2", "--y-zero", "--eval", "x1=1/0,x2=1"),
+        ("mlq", "--state", "1"),
+        ("mlq", "--state", "1", "--list"),
+        ("verify", "--n", "1", "--suite", "mlq"),
+        ("count", "--max-n", "0"),
+        ("formula", "--state", "2,1,3"),
+    ])
+    def test_subcommand_usage_error_returns_2(self, capsys, tmp_path, argv):
+        # main returns the code; a SystemExit would escape and fail the test
+        missing = str(tmp_path / "missing.txt")
+        assert cli.main([a.format(missing=missing) for a in argv]) == 2
+        assert capsys.readouterr().err.strip()
+
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
@@ -320,6 +359,21 @@ class TestUsageErrors:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--n", "3", "--suite", "nope")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("psi", "--n", "2", "--y-zero", "--eval", "x1=2,x2=1"),
+    ("formula", "--state", "1,3,2"),
+    ("count", "--max-n", "3"),
+    ("mlq", "--state", "1,3,2"),
+    ("mlq", "--state", "1,3,2", "--list"),
+    ("schubert", "--perm", "2,1"),
+    ("verify", "--n", "2", "--suite", "counts"),
+])
+def test_json_schema_comes_first(capsys, argv):
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert next(iter(json.loads(out).items())) == ("schema", 1)
 
 
 def test_module_entry_point_runs_cleanly():
