@@ -112,6 +112,8 @@ def _load_params(args, n: int) -> RateParams:
                 raise ValueError(f"bad x index in {item!r}")
             if not 1 <= idx <= n:
                 raise ValueError(f"x index out of range in {item!r}")
+            if idx in seen:
+                raise ValueError(f"x{idx} assigned twice in {item!r}")
             xvals[idx - 1] = _rational(val, item)
             seen.add(idx)
     if args.y_zero:

@@ -7,8 +7,10 @@ order and a monomial product is one integer addition.  An exponent outside
 0..255, given or produced by a product, raises ValueError; it never wraps.
 Exponent tuples appear only in constructors, queries and serialization.
 All arithmetic is exact; there is no floating point anywhere in this module.
-`evaluate` tabulates num^e * den^(D - e) for each variable, D its largest
-exponent, sums integer terms and divides once by the product of den^D.
+`evaluate` values each distinct x half and y half of the keys once, each
+variable as num^e * den^(D - e) with D its largest exponent, sums c * Y[y]
+per x half, weights each sum by X[x] and divides once by the product of
+den^D.
 
 Canonical term order is graded lex on the concatenated exponent vector,
 descending, so that text serialization is unique and text equality is
@@ -35,6 +37,20 @@ def _pack(exp, width: int) -> int:
     if len(exp) != width:
         raise ValueError(f"exponent width {len(exp)} != {width}")
     return int.from_bytes(bytes(exp), "big")
+
+
+def _half_values(halves, vals, width: int) -> tuple[dict[int, int], int]:
+    """The integer value of each packed half at vals, each variable v taken
+    as num^e * den^(top - e) with top its largest exponent over the halves,
+    and the common denominator, the product of den^top."""
+    rows = {h: h.to_bytes(width, "big") for h in halves}
+    tables, den_total = [], 1
+    for v, top in zip(map(Fraction, vals), map(max, zip(*rows.values()))):
+        num, den = v.numerator, v.denominator
+        tables.append([num ** e * den ** (top - e) for e in range(top + 1)])
+        den_total *= den ** top
+    return ({h: prod(map(list.__getitem__, tables, row))
+             for h, row in rows.items()}, den_total)
 
 
 class Poly:
@@ -272,21 +288,19 @@ class Poly:
                                       if not k & ymask})
 
     def evaluate(self, xvals, yvals) -> Fraction:
-        xvals = list(xvals)
-        yvals = list(yvals)
-        if len(xvals) != self.n or len(yvals) != self.n:
+        xvals, yvals, n = list(xvals), list(yvals), self.n
+        if len(xvals) != n or len(yvals) != n:
             raise ValueError("evaluation point length mismatch")
-        w = 2 * self.n
-        rows = [k.to_bytes(w, "big") for k in self.terms]
-        tables = []
-        den_total = 1
-        for v, top in zip(map(Fraction, xvals + yvals), map(max, zip(*rows))):
-            num, den = v.numerator, v.denominator
-            tables.append([num ** e * den ** (top - e) for e in range(top + 1)])
-            den_total *= den ** top
-        total = sum(prod(map(list.__getitem__, tables, row), start=coef)
-                    for row, coef in zip(rows, self.terms.values()))
-        return Fraction(total, den_total)
+        shift, mask = 8 * n, (1 << 8 * n) - 1
+        xv, xden = _half_values({k >> shift for k in self.terms}, xvals, n)
+        yv, yden = _half_values({k & mask for k in self.terms}, yvals, n)
+        inner: dict[int, int] = {}
+        get = inner.get
+        for k, c in self.terms.items():
+            kx = k >> shift
+            inner[kx] = get(kx, 0) + c * yv[k & mask]
+        return Fraction(sum(xv[kx] * s for kx, s in inner.items()),
+                        xden * yden)
 
     def embed(self, m: int) -> "Poly":
         """Reinterpret in the larger ring with m >= n variable pairs."""

@@ -1,10 +1,11 @@
 """Double and single Schubert polynomials, vexillary flags, and flagged
 Schur functions via semistandard tableau enumeration.
 
-Schubert polynomials are produced by applying divided differences along a
-deterministic reduced word to the top polynomial (the product Delta(x, y)
-for the double version, the staircase monomial for the single version).
-Results are memoized per (n, w) since verification sweeps revisit labels.
+A Schubert polynomial at w_0 is the top polynomial (the product
+Delta(x, y) for the double version, the staircase monomial for the single
+version); at any other w it is the divided difference at w's first ascent
+i of the memoized entry at w s_i, so labels share the entries on their way
+down to w_0.  The memo is per (n, w) and clear_caches() empties it.
 """
 
 from __future__ import annotations
@@ -58,13 +59,16 @@ def apply_divided_differences(p: Poly, w: Perm) -> Poly:
 
 
 def _from_top(cache: dict, top, w: Perm) -> Poly:
-    """Divided differences along w^{-1} w_0 applied to top(n), n = len(w),
-    memoized in cache per (n, w)."""
+    """top(n) at w = w_0, n = len(w); otherwise divided_difference(i + 1)
+    of the entry at w s_{i+1}, i + 1 the first ascent of w.  Memoized in
+    cache per (n, w), so every label shares the entries on its way down."""
     w = perms.check_perm(w)
     n = len(w)
     if (n, w) not in cache:
-        u = perms.compose(perms.inverse(w), perms.longest_element(n))
-        cache[n, w] = apply_divided_differences(top(n), u)
+        i = next((i for i in range(n - 1) if w[i] < w[i + 1]), None)
+        cache[n, w] = top(n) if i is None else _from_top(
+            cache, top, w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+        ).divided_difference(i + 1)
     return cache[n, w]
 
 

@@ -305,6 +305,17 @@ class TestUsageErrors:
         assert code == 2
         assert repr(item) in err
 
+    @pytest.mark.parametrize("items,message", [
+        ("x1=1,x1=2,x2=3", "x1 assigned twice in 'x1=2'"),
+        ("x2=1,x1=1,x02=5", "x2 assigned twice in 'x02=5'"),
+    ])
+    def test_repeated_eval_variable_rejected(self, capsys, items, message):
+        code, out, err = run(capsys, "psi", "--n", "2", "--y-zero",
+                             "--eval", items)
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
+
     @pytest.mark.parametrize("argv,text", [
         (("formula", "--state", "a"), "a"),
         (("schubert", "--perm", ""), ""),

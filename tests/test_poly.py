@@ -199,6 +199,14 @@ def naive_evaluate(p, xs, ys):
     return total
 
 
+def poly_and_point(values):
+    """A polynomial at n = 4 or 5 and a point of 2n values drawn from
+    values."""
+    return st.integers(4, 5).flatmap(lambda n: st.tuples(
+        polys(n=n, max_degree=5, max_terms=12),
+        st.lists(values, min_size=2 * n, max_size=2 * n)))
+
+
 class TestPackedKernels:
     @given(polys(), st.lists(st.fractions(max_denominator=50), min_size=6,
                              max_size=6))
@@ -214,6 +222,26 @@ class TestPackedKernels:
         assert p.evaluate(xs, [0, 0, 0]) == naive_evaluate(p, xs, [0, 0, 0])
         assert p.evaluate(xs, [0, 0, 0]) == \
             p.substitute_y_zero().evaluate(xs, [1, 1, 1])
+
+    @given(poly_and_point(st.fractions(max_denominator=10**6)))
+    @settings(max_examples=60)
+    def test_evaluate_matches_naive_distinct_denominators(self, case):
+        p, vals = case
+        xs, ys = vals[:p.n], vals[p.n:]
+        assert p.evaluate(xs, ys) == naive_evaluate(p, xs, ys)
+
+    @given(poly_and_point(st.integers(-2**40, 2**40).map(
+        lambda v: Fraction(v, 2**40))))
+    @settings(max_examples=60)
+    def test_evaluate_matches_naive_one_denominator(self, case):
+        p, vals = case
+        xs, ys = vals[:p.n], vals[p.n:]
+        assert p.evaluate(xs, ys) == naive_evaluate(p, xs, ys)
+
+    def test_evaluate_length_mismatch_on_zero(self):
+        for xs, ys in (([1], [1, 2]), ([1, 2], [1]), ([1, 2, 3], [1, 2, 3])):
+            with pytest.raises(ValueError, match="length mismatch"):
+                Poly.zero(2).evaluate(xs, ys)
 
     def test_evaluate_non_integer_and_zero(self):
         p = Poly.monomial(2, (3, 0), (0, 2), coef=-4) + Poly.x(2, 2)

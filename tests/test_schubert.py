@@ -77,6 +77,25 @@ class TestDoubleSchubert:
                 p = schubert.double_schubert(w).substitute_y_zero()
                 assert all(c > 0 for c in p.terms.values()), w
 
+    def test_memo_matches_reduced_word_route_s5(self):
+        n = 5
+        schubert.clear_caches()
+        for w in perms.iter_perms(n):
+            u = perms.compose(perms.inverse(w), perms.longest_element(n))
+            assert schubert.double_schubert(w) == \
+                schubert.apply_divided_differences(schubert.delta(n), u), w
+            assert schubert.single_schubert(w) == \
+                schubert.apply_divided_differences(
+                    schubert.staircase_monomial(n), u), w
+
+    def test_clear_caches_empties_both(self):
+        schubert.double_schubert((1, 3, 2, 4))
+        schubert.single_schubert((2, 1, 4, 3))
+        assert schubert._double_cache and schubert._single_cache
+        schubert.clear_caches()
+        assert not schubert._double_cache
+        assert not schubert._single_cache
+
 
 class TestSingleSchubert:
     def test_matches_double_at_y_zero(self):
