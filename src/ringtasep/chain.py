@@ -11,10 +11,11 @@ the full chain.  `symbolic_stationary` does so over Z[x, y], scales the
 identity state's entry to the normalization product, and certifies the
 polynomials by exact symbolic balance substitution.
 
-One exact kernel serves both rings, the ints and Z[x, y]: fraction-free
-(Bareiss) elimination to row-echelon form, then back-substitution by
-Cramer's rule, in which every division is exact.  Both rings read the
-chain's edge rates from one table of the n(n-1)/2 pair rates.
+Each ring has one exact kernel.  The ints use fraction-free (Bareiss)
+elimination and back-substitution by Cramer's rule, in which every
+division is exact; Z[x, y], whose entries are linear, takes signed maximal
+minors by memoized Laplace expansion and divides nowhere.  Both rings read
+the chain's edge rates from one table of the n(n-1)/2 pair rates.
 """
 
 from __future__ import annotations
@@ -196,9 +197,9 @@ def _integer_row(row: list) -> list:
 
 
 def _echelon(A: list) -> list:
-    """Bring the matrix A over the ints or Z[x, y] to row-echelon form in
-    place by fraction-free (Bareiss) elimination, skipping columns with no
-    pivot, and return the pivot columns.  Each row is divided by the pivot
+    """Bring the integer matrix A to row-echelon form in place by
+    fraction-free (Bareiss) elimination, skipping columns with no pivot,
+    and return the pivot columns.  Each row is divided by the pivot
     that last updated it, and a row that skipped steps is scaled up to date
     when it becomes the pivot row, so every pivot row holds minors of the
     input and each division is exact (Sylvester's identity; Bareiss 1968)."""
@@ -228,19 +229,18 @@ def _echelon(A: list) -> list:
 
 
 def _null_vector(A: list) -> list:
-    """A nonzero null vector of the square matrix A, whose null space must be
-    one-dimensional, with entries in A's ring (ints or Polys).  A is brought
-    to echelon form in place; the column without a pivot gets -d, d the last
-    pivot, and the pivot columns follow by back-substitution.  d is the
-    determinant of the pivot block up to sign, so by Cramer's rule every
-    division is exact."""
+    """A nonzero null vector of the square integer matrix A, whose null
+    space must be one-dimensional.  A is brought to echelon form in place;
+    the column without a pivot gets -d, d the last pivot, and the pivot
+    columns follow by back-substitution.  d is the determinant of the pivot
+    block up to sign, so by Cramer's rule every division is exact."""
     m = len(A)
     pivots = _echelon(A)
     if len(pivots) != m - 1:
         raise ValueError("chain is reducible or not rotation invariant: "
                          f"lumped null space dimension {m - len(pivots)}")
     free = min(set(range(m)) - set(pivots))
-    d = A[m - 2][pivots[-1]] if pivots else A[0][0] ** 0  # the ring's one
+    d = A[m - 2][pivots[-1]] if pivots else 1
     vec = [-d] * m
     for r in reversed(range(m - 1)):
         row = A[r]
@@ -249,6 +249,34 @@ def _null_vector(A: list) -> list:
             s = s - row[p] * vec[p]
         vec[pivots[r]] = s // row[pivots[r]]
     return vec
+
+
+def _cofactors(A: list) -> list:
+    """A nonzero null vector of the square matrix A, whose rows sum to zero:
+    entry j is (-1)^j times the minor of A without its last row and column
+    j.  The minors of the first r + 1 rows come from those of the first r
+    by Laplace expansion along row r, one per set of columns (a bitmask),
+    so ring elements are only multiplied by A's entries and added, never
+    divided (expansion by minors; Gentleman & Johnson, ACM TOMS 1976).
+    Raises ValueError when every such minor vanishes, as they do when the
+    null space has more than one dimension."""
+    m, one = len(A), A[0][0] ** 0  # the ring's one
+    minors = {0: one}  # the empty minor
+    for row in A[:-1]:
+        nxt: dict = {}
+        for cols, d in minors.items():
+            for j, a in enumerate(row):
+                if a and not cols >> j & 1:
+                    # the sign is (-1)^(the columns of `cols` after j)
+                    t = -(d * a) if (cols >> j).bit_count() & 1 else d * a
+                    key = cols | 1 << j
+                    nxt[key] = nxt[key] + t if key in nxt else t
+        minors = {k: d for k, d in nxt.items() if d}
+    if not minors:
+        raise ValueError("chain is reducible or not rotation invariant: "
+                         "every maximal minor of the lumped matrix vanishes")
+    v = [minors.get(((1 << m) - 1) ^ (1 << j), one - one) for j in range(m)]
+    return [-d if j & 1 else d for j, d in enumerate(v)]
 
 
 def normalization_polynomial(n: int) -> Poly:
@@ -295,11 +323,11 @@ def symbolic_stationary(n: int) -> dict:
     """Renormalized stationary probabilities as exact polynomials in
     Z[x_1..x_n, y_1..y_n], for every state.
 
-    The lumped balance system is eliminated over Z[x, y] by the point
-    solve's kernel, and psi_w = N * v_w / v_identity for its null vector v,
-    N the normalization product.  Capped at n = 4: at n = 5 the last
-    Bareiss pivot of the 24 x 24 system is a minor of degree 23 in 8
-    variables.  Results are cached per n.
+    The null vector v of the lumped balance system comes from
+    `_cofactors`; its entries share the factor g = v_identity / N, N the
+    normalization product, and psi_w = v_w / g.  Capped at n = 4: at n = 5
+    the 24 x 24 system's table of column subsets would hold up to
+    C(24, 12) = 2,704,156 minors.  Results are cached per n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -310,11 +338,12 @@ def symbolic_stationary(n: int) -> dict:
 
     states = list(perms.iter_perms(n))
     A, idx = _lumped(_edges(states, n, _poly_pair_rates(n)), n, Poly.zero(n))
-    v = _null_vector(A)
+    v = _cofactors(A)
     norm = normalization_polynomial(n)
     try:  # v[0] is the identity state's entry
-        psi = {s: norm * v[k] // v[0] for s, k in idx.items()}
-    except ValueError as exc:
+        g = v[0] // norm
+        psi = {s: v[k] // g for s, k in idx.items()}
+    except (ValueError, ZeroDivisionError) as exc:
         raise AssertionError(f"symbolic null vector: {exc}") from None
     out = {s: psi[_rotate_to_one(s)] for s in states}
 

@@ -203,6 +203,38 @@ class TestKernel:
         assert any(v)
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in A)
 
+    @staticmethod
+    def assert_proportional(v, w):
+        assert all(v[i] * w[j] == v[j] * w[i]
+                   for i in range(len(v)) for j in range(i + 1, len(v)))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_cofactors_on_integer_matrices(self, m):
+        rng = random.Random(m)
+        A = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(m - 1)]
+        A.append([-sum(col) for col in zip(*A)] if A else [0])
+        v = chain._cofactors(A)
+        assert any(v)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in A)
+        self.assert_proportional(v, chain._null_vector([r[:] for r in A]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cofactors_on_lumped_polynomial_matrices(self, n):
+        states = list(perms.iter_perms(n))
+        A, _ = chain._lumped(chain._edges(states, n, chain._poly_pair_rates(n)),
+                             n, Poly.zero(n))
+        v = chain._cofactors(A)
+        assert any(v)
+        zero = Poly.zero(n)
+        assert all(sum((a * b for a, b in zip(row, v)), zero).is_zero()
+                   for row in A)
+        self.assert_proportional(v, chain._null_vector([r[:] for r in A]))
+
+    def test_cofactors_reject_rank_deficient(self):
+        A = [[1, -2, 1], [1, -2, 1], [-2, 4, -2]]  # two equal rows, rank 1
+        with pytest.raises(ValueError, match="every maximal minor"):
+            chain._cofactors(A)
+
 
 class TestSymbolic:
     def test_n3_exact(self, symbolic_n3):
@@ -221,15 +253,15 @@ class TestSymbolic:
             chain.symbolic_stationary(5)
 
     def test_certificate_rejects_wrong_fit(self, monkeypatch):
-        null_vector = chain._null_vector
+        cofactors = chain._cofactors
 
         def off_by_identity(A):
             # psi_1 gains N: the division stays exact, the balance fails
-            v = null_vector(A)
+            v = cofactors(A)
             v[1] = v[1] + v[0]
             return v
         monkeypatch.setattr(chain, "_symbolic_cache", {})
-        monkeypatch.setattr(chain, "_null_vector", off_by_identity)
+        monkeypatch.setattr(chain, "_cofactors", off_by_identity)
         with pytest.raises(AssertionError, match="balance certificate"):
             chain.symbolic_stationary(3)
 

@@ -203,14 +203,14 @@ class TestVerify:
         assert "mlq: 120 cases, all passed" in out
 
     def test_internal_check_failure_is_exit_1(self, capsys, monkeypatch):
-        null_vector = chain._null_vector
+        cofactors = chain._cofactors
 
         def off_by_identity(A):
-            v = null_vector(A)
+            v = cofactors(A)
             v[1] = v[1] + v[0]
             return v
         monkeypatch.setattr(chain, "_symbolic_cache", {})
-        monkeypatch.setattr(chain, "_null_vector", off_by_identity)
+        monkeypatch.setattr(chain, "_cofactors", off_by_identity)
         code, out, err = run(capsys, "verify", "--n", "3", "--suite", "main")
         assert code == 1
         assert out == ""
@@ -220,19 +220,35 @@ class TestVerify:
         assert "Traceback" not in err
 
     def test_inexact_symbolic_division_is_exit_1(self, capsys, monkeypatch):
-        null_vector = chain._null_vector
+        cofactors = chain._cofactors
 
         def off_by_one(A):
-            v = null_vector(A)
+            v = cofactors(A)
             v[1] = v[1] + Poly.const(4, 1)
             return v
         monkeypatch.setattr(chain, "_symbolic_cache", {})
-        monkeypatch.setattr(chain, "_null_vector", off_by_one)
+        monkeypatch.setattr(chain, "_cofactors", off_by_one)
         code, out, err = run(capsys, "verify", "--n", "4", "--suite", "main")
         assert code == 1
         assert out == ""
         assert err.startswith("internal check failed: ")
         assert "does not divide exactly" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_zero_symbolic_divisor_is_exit_1(self, capsys, monkeypatch):
+        cofactors = chain._cofactors
+
+        def zero_identity(A):
+            v = cofactors(A)
+            v[0] = Poly.zero(3)
+            return v
+        monkeypatch.setattr(chain, "_symbolic_cache", {})
+        monkeypatch.setattr(chain, "_cofactors", zero_identity)
+        code, out, err = run(capsys, "verify", "--n", "3", "--suite", "main")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal check failed: symbolic null vector")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
