@@ -30,7 +30,6 @@ from . import perms
 from .perms import Perm
 from .poly import Poly
 
-_symbolic_cache: dict[int, dict[Perm, Poly]] = {}
 _SYMBOLIC_MAX_N = 4
 
 
@@ -307,18 +306,6 @@ def solve_renormalized(n: int, params: RateParams) -> dict:
 
 # -- symbolic solve over Z[x, y] ------------------------------------------
 
-def sample_integer_params(n: int, rng: random.Random, xlo: int = 50,
-                          xhi: int = 120, ymax: int = 30) -> RateParams:
-    """Random integer parameter point; x well above y keeps every rate
-    strictly positive.  Integer points keep the rational elimination cheap;
-    widen the ranges when a smaller identity-test failure bound is needed."""
-    if ymax >= xlo:
-        raise ValueError("ymax must stay below xlo to keep rates positive")
-    xv = [rng.randint(xlo, xhi) for _ in range(n)]
-    yv = [rng.randint(0, ymax) for _ in range(n)]
-    return RateParams(xv, yv)
-
-
 def symbolic_stationary(n: int) -> dict:
     """Renormalized stationary probabilities as exact polynomials in
     Z[x_1..x_n, y_1..y_n], for every state.
@@ -327,14 +314,12 @@ def symbolic_stationary(n: int) -> dict:
     `_cofactors`; its entries share the factor g = v_identity / N, N the
     normalization product, and psi_w = v_w / g.  Capped at n = 4: at n = 5
     the 24 x 24 system's table of column subsets would hold up to
-    C(24, 12) = 2,704,156 minors.  Results are cached per n.
+    C(24, 12) = 2,704,156 minors.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if n > _SYMBOLIC_MAX_N:
         raise ValueError(f"symbolic solve capped at n={_SYMBOLIC_MAX_N}")
-    if n in _symbolic_cache:
-        return _symbolic_cache[n]
 
     states = list(perms.iter_perms(n))
     A, idx = _lumped(_edges(states, n, _poly_pair_rates(n)), n, Poly.zero(n))
@@ -354,7 +339,6 @@ def symbolic_stationary(n: int) -> dict:
             or out[states[0]] != norm):
         raise AssertionError("symbolic stationary polynomials fail the "
                              "exact balance certificate")
-    _symbolic_cache[n] = out
     return out
 
 

@@ -123,22 +123,18 @@ def factor_permutations(w: Perm) -> tuple:
 
 def main_formula(w: Perm) -> Poly:
     """Product formula over Z[x, y]: xy_fact(w) times the double Schubert
-    polynomials of the factor permutations."""
-    w = perms.check_perm(w)
-    _require_special(w)
-    n = len(w)
+    polynomials of the factor permutations.  psi_partitions rejects a w
+    outside the formula class."""
     factors = [schubert.double_schubert(u) for u in factor_permutations(w)]
-    return xy_fact(w) * product(factors, n)
+    return xy_fact(w) * product(factors, len(w))
 
 
 def main_formula_y0(w: Perm) -> tuple:
     """The y = 0 form: an x-monomial exponent mu and the single Schubert
     factors.  mu = (C(n-1,2), C(n-2,2), ..., C(2,2)) minus the sum of the
     attached partitions, padded to length n - 2."""
-    w = perms.check_perm(w)
-    _require_special(w)
-    n = len(w)
     lams = psi_partitions(w)
+    n = len(w)
     mu = [math.comb(n - 1 - i, 2) for i in range(n - 2)]
     for lam in lams:
         for i, part in enumerate(lam):

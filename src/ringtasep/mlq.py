@@ -5,15 +5,16 @@ correspondence.
 A queue is an L x n occupancy grid.  Columns are numbered right to left in
 all text and reading conventions; internally the grid is stored left to
 right (index p holds column n - p) and the convention is applied only at
-the read/print boundary.  For permutation states L = n - 1 and row r holds
-exactly r balls.  A projected queue prints each ball as its class and each
-vacancy as '.', which is what `ringtasep mlq --list` draws.
+the read/print boundary.  A queue has at least one row and no row holds
+fewer balls than the row above, so every ball finds a ball below to match.
+For permutation states L = n - 1 and row r holds exactly r balls.  A
+projected queue prints each ball as its class and each vacancy as '.',
+which is what `ringtasep mlq --list` draws.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,15 +29,16 @@ class MultilineQueue:
     rows: tuple  # per row, a sorted tuple of occupied grid indices (0-based)
 
     def __post_init__(self):
+        if not self.rows:
+            raise ValueError("a queue needs at least one row")
         for row in self.rows:
-            if any(not 0 <= p < self.n for p in row):
+            if row and (min(row) < 0 or max(row) >= self.n):
                 raise ValueError("ball index out of range")
             if tuple(sorted(set(row))) != tuple(row):
                 raise ValueError("row occupancies must be sorted and distinct")
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
+        counts = [len(row) for row in self.rows]
+        if counts != sorted(counts):
+            raise ValueError("a row holds fewer balls than the row above")
 
     def to_text(self) -> str:
         """One line per row, leftmost character = column n."""
@@ -47,7 +49,7 @@ class MultilineQueue:
     @classmethod
     def from_text(cls, text: str) -> "MultilineQueue":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        n = len(lines[0])
+        n = len(lines[0]) if lines else 0
         if any(len(ln) != n for ln in lines):
             raise ValueError("ragged queue text")
         rows = tuple(tuple(p for p, ch in enumerate(ln) if ch == "o")
@@ -89,7 +91,7 @@ def bully_project(q: MultilineQueue) -> ProjectedQueue:
     n = q.n
     classes: list[dict[int, int]] = [dict.fromkeys(q.rows[0], 1)]
     covered: list[tuple[int, int, int]] = []
-    for r in range(q.num_rows - 1):
+    for r in range(len(q.rows) - 1):
         above, passed = classes[r], {}
         unmatched = set(q.rows[r + 1])
         # balls below start as new; positions missing from cur are vacancies
@@ -112,7 +114,7 @@ def queue_type(pq: ProjectedQueue) -> tuple:
     """Bottom-row classes read right to left, vacancies reading L + 1."""
     q = pq.queue
     bottom = pq.classes[-1]
-    return tuple(bottom.get(q.n - c, q.num_rows + 1)
+    return tuple(bottom.get(q.n - c, len(q.rows) + 1)
                  for c in range(1, q.n + 1))
 
 
@@ -124,7 +126,7 @@ def queue_weight(pq: ProjectedQueue) -> tuple:
     are always nonnegative integers.
     """
     q = pq.queue
-    L = q.num_rows
+    L = len(q.rows)
     vac = [q.n - len(row) for row in q.rows]
     exps = [0] * L
     for i in range(1, L):  # x_i^{V_i} for i <= L - 1
@@ -222,27 +224,18 @@ def d_prime(lam, d) -> tuple:
 
 
 def verify_grassmannian_bijection(lam, n: int) -> bool:
-    """Weight-multiset consequence of the queue/tableau correspondence.
+    """Weight-sum consequence of the queue/tableau correspondence.
 
-    Compares the multiset of queue weights over MLQ(w(lam)) with the
-    multiset of tableau content monomials over SSYT(lam, d'), up to one
-    global Laurent-monomial shift K (computed from the minimal elements,
-    then validated on the whole multiset).  Also requires equal
-    cardinalities.
+    The sum of queue weights over MLQ(w(lam)) must equal the flagged Schur
+    polynomial of (lam, d') up to one global Laurent-monomial shift: both
+    sums are nonzero and their cofactors after `Poly.monomial_content` are
+    equal.  Equal polynomials have equal coefficient sums, so the queue and
+    tableau counts agree too.
     """
     lam = tuple(p for p in lam if p)
     w, d = w_of_partition(lam, n)
-    dp = d_prime(lam, d)
-
-    weights = Counter(queue_weight(pq) for pq in queues_of_type(w))
-
-    tabs = Counter()
-    for t in schubert.ssyt_enumerate(lam, dp):
-        tabs[schubert.tableau_content(t, n - 1)] += 1
-
-    if not weights or sum(weights.values()) != sum(tabs.values()):
-        return False
-    shift = tuple(a - b for a, b in zip(min(weights), min(tabs)))
-    shifted = Counter({tuple(a + b for a, b in zip(exp, shift)): c
-                       for exp, c in tabs.items()})
-    return shifted == weights
+    queues = sum((Poly.monomial(n, queue_weight(pq))
+                  for pq in queues_of_type(w)), Poly.zero(n))
+    tableaux = schubert.flagged_schur(lam, d_prime(lam, d), nvars=n)
+    return (bool(queues) and bool(tableaux) and queues.monomial_content()[1]
+            == tableaux.monomial_content()[1])

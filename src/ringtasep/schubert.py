@@ -10,6 +10,8 @@ down to w_0.  The memo is per (n, w) and clear_caches() empties it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import perms
 from .perms import Perm
 from .poly import Poly
@@ -152,18 +154,14 @@ def tableau_content(t: tuple, nvals: int) -> tuple:
 def flagged_schur(shape_: tuple, bounds: tuple, nvars: int) -> Poly:
     """Sum of x^content(T) in x_1..x_nvars over the flagged tableau
     enumeration."""
-    out = Poly.zero(nvars)
-    for t in ssyt_enumerate(shape_, bounds):
-        out = out + Poly.monomial(nvars, tableau_content(t, nvars))
-    return out
+    return Poly(nvars, Counter(tableau_content(t, nvars) + (0,) * nvars
+                               for t in ssyt_enumerate(shape_, bounds)))
 
 
 def verify_flagged_factorization(w: Perm) -> bool:
-    """Check single_schubert(w) == flagged_schur(shape(w), flag(w))."""
-    if not is_vexillary(w):
-        raise ValueError(f"{w} is not vexillary")
-    n = len(w)
-    return single_schubert(w) == flagged_schur(shape(w), flag(w), nvars=n)
+    """Check single_schubert(w) == flagged_schur(shape(w), flag(w)); flag
+    rejects a w that is not vexillary."""
+    return flagged_schur(shape(w), flag(w), nvars=len(w)) == single_schubert(w)
 
 
 def partitions_in_box(rows: int, cols: int):

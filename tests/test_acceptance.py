@@ -14,7 +14,6 @@ from expected import (EVIL_COUNTS, N3_PSI, N4_FORMS, N5_SPECIAL,
                       N5_Y0_FORMS, parse_label)
 
 # start from cold caches so the per-criterion budgets measure real work
-chain._symbolic_cache.clear()
 schubert.clear_caches()
 
 
@@ -74,19 +73,13 @@ def test_criterion_03_n5_y0_table():
 
 def test_criterion_04_n5_general_identity():
     def check():
-        rng = random.Random(97)
         states = [parse_label(s) for s in N5_SPECIAL]
-        lhs = {w: formulas.main_formula(w) for w in states}
-        for _ in range(5):
-            # each variable ranges over >= 2 * 10^5 values, so a wrong
-            # degree-10 identity survives all 5 points with probability
-            # below (10 / (2 * 10^5))^5 < 10^-20
-            params = chain.sample_integer_params(
-                5, rng, xlo=10 ** 6, xhi=2 * 10 ** 6, ymax=2 * 10 ** 5)
-            psi = chain.solve_renormalized(5, params)
-            for w in states:
-                got = lhs[w].evaluate(params.xvals, params.yvals)
-                assert got == psi[w], w
+        # a wrong identity survives all 5 points with probability below
+        # (C(5, 3) * 2^-40)^5 < 10^-20 (see chain.sample_points)
+        points = chain.sample_points(5, trials=5, seed=97)
+        for w, ok in chain.compare_with_solver(formulas.main_formula, states,
+                                               points):
+            assert ok, w
     _run(4, "5-site general-parameter product formula at 5 points",
          check, budget=60.0)
 

@@ -12,6 +12,12 @@ def params_n3():
     return RateParams.y_zero([2, 1, 1])
 
 
+def integer_point(n):
+    """x_i = 43 + 7i, each above every y_j = j - 1, so every rate is
+    positive."""
+    return RateParams(range(50, 50 + 7 * n, 7), range(n))
+
+
 def assert_balanced(c, pi):
     """Exact substitution into every balance equation of chain c."""
     psi = dict(zip(c.states, pi))
@@ -162,13 +168,11 @@ class TestStationary:
 class TestQuotient:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_full_solve(self, n):
-        p = chain.sample_integer_params(n, random.Random(n))
-        c = chain.build_chain(n, p)
+        c = chain.build_chain(n, integer_point(n))
         assert chain.stationary(c) == full_stationary(c)
 
     def test_n6_integer_point(self):
-        c = chain.build_chain(6, chain.sample_integer_params(
-            6, random.Random(6)))
+        c = chain.build_chain(6, integer_point(6))
         pi = chain.stationary(c)
         assert sum(pi) == 1
         assert_balanced(c, pi)
@@ -176,8 +180,7 @@ class TestQuotient:
     def test_rotation_breaking_rate_rejected(self):
         # an edge between two non-representatives leaves the lumped system
         # unchanged, so only the full balance certificate can catch it
-        c = chain.build_chain(4, chain.sample_integer_params(
-            4, random.Random(4)))
+        c = chain.build_chain(4, integer_point(4))
         edge = next((u, v) for u, v in c.rates if u[0] != 1 and v[0] != 1)
         c.rates[edge] += 1
         with pytest.raises(ValueError, match="balance certificate"):
@@ -252,6 +255,11 @@ class TestSymbolic:
         with pytest.raises(ValueError):
             chain.symbolic_stationary(5)
 
+    def test_each_call_independent(self):
+        chain.symbolic_stationary(3)[(1, 2, 3)] = Poly.zero(3)
+        assert (chain.symbolic_stationary(3)[(1, 2, 3)]
+                == chain.normalization_polynomial(3))
+
     def test_certificate_rejects_wrong_fit(self, monkeypatch):
         cofactors = chain._cofactors
 
@@ -260,7 +268,6 @@ class TestSymbolic:
             v = cofactors(A)
             v[1] = v[1] + v[0]
             return v
-        monkeypatch.setattr(chain, "_symbolic_cache", {})
         monkeypatch.setattr(chain, "_cofactors", off_by_identity)
         with pytest.raises(AssertionError, match="balance certificate"):
             chain.symbolic_stationary(3)

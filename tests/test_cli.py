@@ -209,7 +209,6 @@ class TestVerify:
             v = cofactors(A)
             v[1] = v[1] + v[0]
             return v
-        monkeypatch.setattr(chain, "_symbolic_cache", {})
         monkeypatch.setattr(chain, "_cofactors", off_by_identity)
         code, out, err = run(capsys, "verify", "--n", "3", "--suite", "main")
         assert code == 1
@@ -226,7 +225,6 @@ class TestVerify:
             v = cofactors(A)
             v[1] = v[1] + Poly.const(4, 1)
             return v
-        monkeypatch.setattr(chain, "_symbolic_cache", {})
         monkeypatch.setattr(chain, "_cofactors", off_by_one)
         code, out, err = run(capsys, "verify", "--n", "4", "--suite", "main")
         assert code == 1
@@ -243,7 +241,6 @@ class TestVerify:
             v = cofactors(A)
             v[0] = Poly.zero(3)
             return v
-        monkeypatch.setattr(chain, "_symbolic_cache", {})
         monkeypatch.setattr(chain, "_cofactors", zero_identity)
         code, out, err = run(capsys, "verify", "--n", "3", "--suite", "main")
         assert code == 1

@@ -27,6 +27,17 @@ class TestQueueBasics:
         with pytest.raises(ValueError):
             mlq.MultilineQueue(3, ((5,),))
 
+    def test_rejects_row_shorter_than_above(self):
+        # row 1's second ball would find no ball below to match
+        with pytest.raises(ValueError, match="fewer balls"):
+            mlq.MultilineQueue(3, ((0, 1), (0,)))
+
+    @pytest.mark.parametrize("make", [lambda: mlq.MultilineQueue(3, ()),
+                                      lambda: mlq.MultilineQueue.from_text("")])
+    def test_rejects_no_rows(self, make):
+        with pytest.raises(ValueError, match="at least one row"):
+            make()
+
 
 class TestProjection:
     def test_example_type(self):
@@ -184,3 +195,11 @@ class TestGrassmannianBijection:
                     if mlq.queue_type(mlq.bully_project(q)) == w)
                 tabs = len(schubert.ssyt_enumerate(lam, dp)) if lam else 1
                 assert count == tabs, (n, lam)
+
+    def test_raised_flag_rejected(self, monkeypatch):
+        d_prime = mlq.d_prime
+        monkeypatch.setattr(mlq, "d_prime", lambda lam, d: tuple(
+            b + 1 for b in d_prime(lam, d)))
+        for lam in schubert.partitions_in_box(5, 5):
+            if lam and lam[0] + len(lam) <= 5:
+                assert not mlq.verify_grassmannian_bijection(lam, 5), lam
