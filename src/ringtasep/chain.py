@@ -30,7 +30,7 @@ from . import perms
 from .perms import Perm
 from .poly import Poly
 
-_SYMBOLIC_MAX_N = 4
+SYMBOLIC_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,8 @@ def symbolic_stationary(n: int) -> dict:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > _SYMBOLIC_MAX_N:
-        raise ValueError(f"symbolic solve capped at n={_SYMBOLIC_MAX_N}")
+    if n > SYMBOLIC_MAX_N:
+        raise ValueError(f"symbolic solve capped at n={SYMBOLIC_MAX_N}")
 
     states = list(perms.iter_perms(n))
     A, idx = _lumped(_edges(states, n, _poly_pair_rates(n)), n, Poly.zero(n))
@@ -335,8 +335,7 @@ def symbolic_stationary(n: int) -> dict:
     # certificate: the balance null space over Q(x, y) is one-dimensional, so
     # a balanced vector with the identity entry fixed is the stationary one
     residuals = global_balance_residuals(out, n)
-    if (any(not r.is_zero() for r in residuals.values())
-            or out[states[0]] != norm):
+    if any(residuals.values()) or out[states[0]] != norm:
         raise AssertionError("symbolic stationary polynomials fail the "
                              "exact balance certificate")
     return out

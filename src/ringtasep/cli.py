@@ -249,7 +249,7 @@ def _record_points(report: RunReport, label: str, route, states,
 
 def _suite_main(report: RunReport, n: int, seed: int) -> None:
     states = perms.enumerate_states(n)
-    if n <= 4:
+    if n <= chain.SYMBOLIC_MAX_N:
         psis = chain.symbolic_stationary(n)
         for w in states:
             got = formulas.main_formula(w)

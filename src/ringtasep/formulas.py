@@ -17,13 +17,6 @@ class FormulaDomainError(ValueError):
     """Raised when a state is outside the product-formula class."""
 
 
-def _require_special(w: Perm) -> None:
-    if not perms.is_special_state(w):
-        raise FormulaDomainError(
-            f"formula does not apply: {perms.perm_str(w)} is not an "
-            "evil-avoiding state with first letter 1")
-
-
 def psi_partitions(w: Perm) -> tuple:
     """The sequence of partitions attached to a special state.
 
@@ -33,7 +26,10 @@ def psi_partitions(w: Perm) -> tuple:
     trailing zeros stripped.
     """
     w = perms.check_perm(w)
-    _require_special(w)
+    if not perms.is_special_state(w):
+        raise FormulaDomainError(
+            f"formula does not apply: {perms.perm_str(w)} is not an "
+            "evil-avoiding state with first letter 1")
     n = len(w)
     c = perms.lehmer_code(perms.inverse(w))
     desc = [i + 1 for i in range(n - 1) if c[i] > c[i + 1]]
@@ -104,13 +100,10 @@ def xy_fact(w: Perm) -> Poly:
     cyclic order, the product (x_1 - y_{n+1-k}) ... (x_i - y_{n+1-k})."""
     w = perms.check_perm(w)
     n = len(w)
-    out = Poly.const(n, 1)
-    for i in range(1, n - 1):
-        for k in range(i + 2, n + 1):
-            if cyclic_order(i, i + 1, k, w):
-                for t in range(1, i + 1):
-                    out = out * (Poly.x(n, t) - Poly.y(n, n + 1 - k))
-    return out
+    return product((Poly.x(n, t) - Poly.y(n, n + 1 - k)
+                    for i in range(1, n - 1) for k in range(i + 2, n + 1)
+                    if cyclic_order(i, i + 1, k, w)
+                    for t in range(1, i + 1)), n)
 
 
 def factor_permutations(w: Perm) -> tuple:

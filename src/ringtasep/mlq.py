@@ -158,10 +158,11 @@ def queues_of_type(w: Perm) -> Iterator[ProjectedQueue]:
 
 
 def psi_via_mlq(w: Perm) -> Poly:
-    """Stationary probability at y = 0 as the weight sum over all queues
-    projecting to w."""
-    w = perms.check_perm(w)
-    return all_psi_via_mlq(len(w)).get(w, Poly.zero(len(w)))
+    """Stationary probability at y = 0 as the weight sum over the queues of
+    type w (`queues_of_type`)."""
+    n = len(w)
+    return sum((Poly.monomial(n, queue_weight(pq))
+                for pq in queues_of_type(w)), Poly.zero(n))
 
 
 def all_psi_via_mlq(n: int) -> dict:
@@ -170,9 +171,8 @@ def all_psi_via_mlq(n: int) -> dict:
     for q in iter_queues(n):
         pq = bully_project(q)
         w = queue_type(pq)
-        exps = queue_weight(pq) + (0,)
-        term = Poly.monomial(n, exps)
-        out[w] = out.get(w, Poly.zero(n)) + term
+        term = Poly.monomial(n, queue_weight(pq))
+        out[w] = out[w] + term if w in out else term
     return out
 
 
@@ -234,8 +234,7 @@ def verify_grassmannian_bijection(lam, n: int) -> bool:
     """
     lam = tuple(p for p in lam if p)
     w, d = w_of_partition(lam, n)
-    queues = sum((Poly.monomial(n, queue_weight(pq))
-                  for pq in queues_of_type(w)), Poly.zero(n))
+    queues = psi_via_mlq(w)
     tableaux = schubert.flagged_schur(lam, d_prime(lam, d), nvars=n)
     return (bool(queues) and bool(tableaux) and queues.monomial_content()[1]
             == tableaux.monomial_content()[1])

@@ -166,14 +166,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        out = Poly.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return product([self] * k, self.n)
 
     def __floordiv__(self, other: "Poly | int") -> "Poly":
         """The exact quotient by long division on other's largest key.

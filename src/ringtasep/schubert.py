@@ -5,30 +5,26 @@ A Schubert polynomial at w_0 is the top polynomial (the product
 Delta(x, y) for the double version, the staircase monomial for the single
 version); at any other w it is the divided difference at w's first ascent
 i of the memoized entry at w s_i, so labels share the entries on their way
-down to w_0.  The memo is per (n, w) and clear_caches() empties it.
+down to w_0.  One functools.cache on (top, w) holds both flavours, and
+clear_caches() empties it.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from . import perms
 from .perms import Perm
-from .poly import Poly
-
-_double_cache: dict[tuple[int, Perm], Poly] = {}
-_single_cache: dict[tuple[int, Perm], Poly] = {}
+from .poly import Poly, product
 
 
 def delta(n: int) -> Poly:
     """The top polynomial: product of (x_i - y_j) over i + j <= n."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = Poly.const(n, 1)
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            out = out * (Poly.x(n, i) - Poly.y(n, j))
-    return out
+    return product((Poly.x(n, i) - Poly.y(n, j)
+                    for i in range(1, n) for j in range(1, n - i + 1)), n)
 
 
 def staircase_monomial(n: int) -> Poly:
@@ -60,29 +56,26 @@ def apply_divided_differences(p: Poly, w: Perm) -> Poly:
     return p
 
 
-def _from_top(cache: dict, top, w: Perm) -> Poly:
-    """top(n) at w = w_0, n = len(w); otherwise divided_difference(i + 1)
-    of the entry at w s_{i+1}, i + 1 the first ascent of w.  Memoized in
-    cache per (n, w), so every label shares the entries on its way down."""
-    w = perms.check_perm(w)
+@functools.cache
+def _from_top(top, w: Perm) -> Poly:
+    """The entry at a checked w: top(len(w)) at w_0, otherwise
+    divided_difference(i + 1) of the entry at w s_{i+1}, i + 1 the first
+    ascent of w.  Memoized per (top, w), so labels share their way down."""
     n = len(w)
-    if (n, w) not in cache:
-        i = next((i for i in range(n - 1) if w[i] < w[i + 1]), None)
-        cache[n, w] = top(n) if i is None else _from_top(
-            cache, top, w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        ).divided_difference(i + 1)
-    return cache[n, w]
+    i = next((i for i in range(n - 1) if w[i] < w[i + 1]), None)
+    return top(n) if i is None else _from_top(
+        top, w[:i] + (w[i + 1], w[i]) + w[i + 2:]).divided_difference(i + 1)
 
 
 def double_schubert(w: Perm) -> Poly:
     """Divided differences along w^{-1} w_0 applied to delta(n)."""
-    return _from_top(_double_cache, delta, w)
+    return _from_top(delta, perms.check_perm(w))
 
 
 def single_schubert(w: Perm) -> Poly:
     """The y = 0 specialization, computed directly from the staircase
     monomial (an independent route from double_schubert)."""
-    return _from_top(_single_cache, staircase_monomial, w)
+    return _from_top(staircase_monomial, perms.check_perm(w))
 
 
 def is_vexillary(w: Perm) -> bool:
@@ -142,20 +135,19 @@ def ssyt_enumerate(shape_: tuple, bounds: tuple) -> list[tuple]:
     return results
 
 
-def tableau_content(t: tuple, nvals: int) -> tuple:
-    """Multiplicity vector of the entries 1..nvals."""
-    counts = [0] * nvals
-    for row in t:
-        for v in row:
-            counts[v - 1] += 1
-    return tuple(counts)
-
-
 def flagged_schur(shape_: tuple, bounds: tuple, nvars: int) -> Poly:
     """Sum of x^content(T) in x_1..x_nvars over the flagged tableau
-    enumeration."""
-    return Poly(nvars, Counter(tableau_content(t, nvars) + (0,) * nvars
-                               for t in ssyt_enumerate(shape_, bounds)))
+    enumeration.  A row bound above nvars raises ValueError."""
+    if any(b > nvars for b in bounds[:len(shape_)]):
+        raise ValueError(f"row bounds {tuple(bounds)} exceed nvars={nvars}")
+    terms = Counter()
+    for t in ssyt_enumerate(shape_, bounds):
+        content = [0] * (2 * nvars)  # the y block stays zero
+        for row in t:
+            for v in row:
+                content[v - 1] += 1
+        terms[tuple(content)] += 1
+    return Poly(nvars, terms)
 
 
 def verify_flagged_factorization(w: Perm) -> bool:
@@ -178,5 +170,4 @@ def partitions_in_box(rows: int, cols: int):
 
 
 def clear_caches() -> None:
-    _double_cache.clear()
-    _single_cache.clear()
+    _from_top.cache_clear()

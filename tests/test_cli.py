@@ -179,6 +179,12 @@ class TestVerify:
         assert payload["schema"] == 1
         assert len(payload["cases"]) == 2  # states with first entry 1
 
+    def test_main_suite_reads_symbolic_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(chain, "SYMBOLIC_MAX_N", 3)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "main")
+        assert code == 0
+        assert "(5 points)" in out and "(symbolic)" not in out
+
     def test_flags_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "flags")
         assert code == 0

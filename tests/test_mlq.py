@@ -131,6 +131,16 @@ class TestQueueSum:
                 5, mlq.queue_weight(pq))
         assert total == queue_total
 
+    def test_one_state_equals_sweep_n4(self, mlq_n4):
+        for w in perms.iter_perms(4):
+            assert mlq.psi_via_mlq(w) == mlq_n4[w], w
+
+    @pytest.mark.parametrize("w", [(1, 2, 3, 4, 5), (1, 3, 2, 5, 4),
+                                   (2, 4, 1, 5, 3), (3, 5, 1, 4, 2),
+                                   (5, 4, 3, 2, 1)])
+    def test_one_state_equals_sweep_n5(self, mlq_n5, w):
+        assert mlq.psi_via_mlq(w) == mlq_n5[w]
+
     def test_n5_matches_solver_at_points(self, mlq_n5):
         states = [(1, 2, 3, 4, 5), (1, 5, 4, 3, 2), (2, 4, 1, 5, 3)]
         points = [RateParams.y_zero(p.xvals)

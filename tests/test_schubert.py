@@ -89,12 +89,13 @@ class TestDoubleSchubert:
                     schubert.staircase_monomial(n), u), w
 
     def test_clear_caches_empties_both(self):
-        schubert.double_schubert((1, 3, 2, 4))
-        schubert.single_schubert((2, 1, 4, 3))
-        assert schubert._double_cache and schubert._single_cache
         schubert.clear_caches()
-        assert not schubert._double_cache
-        assert not schubert._single_cache
+        schubert.double_schubert((1, 3, 2, 4))
+        double_entries = schubert._from_top.cache_info().currsize
+        schubert.single_schubert((2, 1, 4, 3))
+        assert schubert._from_top.cache_info().currsize > double_entries > 0
+        schubert.clear_caches()
+        assert schubert._from_top.cache_info().currsize == 0
 
 
 class TestSingleSchubert:
@@ -178,6 +179,10 @@ class TestFlaggedSchur:
         # 5 + 3 + 1 tableaux over the three possible first rows
         got = schubert.flagged_schur((2, 2, 1), (2, 3, 4), nvars=5)
         assert sum(got.terms.values()) == 9
+
+    def test_bound_above_nvars_rejected(self):
+        with pytest.raises(ValueError, match="exceed nvars=2"):
+            schubert.flagged_schur((1,), (3,), nvars=2)
 
     def test_matches_shape_and_flag_of_perm(self):
         w = (1, 3, 5, 4, 2)
